@@ -49,7 +49,6 @@ from .packing import (
     min_weight_disjoint_b_branchings,
 )
 from .covering import (
-    CoverInstance,
     DecompositionError,
     check_cover_conditions,
     cover_by_b_branchings,
@@ -72,7 +71,6 @@ __all__ = [
     "CapacityVector",
     "CertificateCheck",
     "ContractionRecord",
-    "CoverInstance",
     "DecompositionError",
     "DemandVector",
     "Digraph",

@@ -16,21 +16,10 @@ from typing import Any, Sequence
 
 from .covering import DecompositionError, check_cover_conditions, cover_by_b_branchings, integer_decompose
 from .digraph import Digraph
-from .greedy import (
-    DualCertificate,
-    WeightError,
-    WeightVector,
-    max_weight_b_branching,
-    verify_certificate,
-)
+from .greedy import DualCertificate, WeightVector, max_weight_b_branching, verify_certificate
 from .matroids import CapacityError, CapacityVector, DemandVector, partition_oracle, uniform_oracle
 from .mrgreedy import MatroidAssignment, mr_max_weight_b_branching
-from .oracle import (
-    SizeGateError,
-    brute_exists_packing,
-    brute_max_weight,
-    brute_max_weight_restricted,
-)
+from .oracle import brute_exists_packing, brute_max_weight, brute_max_weight_restricted
 from .packing import (
     Feasibility,
     PackingInstance,
@@ -420,7 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="cross-check against the brute-force oracle (size-gated)",
         )
-        cmd.add_argument("--seed", type=int, default=0, help="reserved; no randomized paths")
         cmd.add_argument("--quiet", action="store_true", help="suppress informational diagnostics")
         cmd.add_argument("--dot", metavar="PATH", help="also write a DOT rendering of the input graph")
     return parser
@@ -454,13 +442,7 @@ def run(argv: Sequence[str]) -> int:
                 file=sys.stderr,
             )
         code, payload = _HANDLERS[args.command](doc, args.oracle)
-    except (InputError, WeightError, CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SizeGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

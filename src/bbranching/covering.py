@@ -11,22 +11,19 @@ its multiplicity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .digraph import Digraph
 from .matroids import BBranching, CapacityVector, DemandVector, is_b_branching
 from .packing import (
-    BruteForceSfm,
+    _DEFAULT_BACKEND,
     Feasibility,
     InfeasiblePackingError,
     PackingInstance,
     SfmBackend,
     find_disjoint_b_branchings,
 )
-
-_DEFAULT_BACKEND = BruteForceSfm()
 
 
 class DecompositionError(ValueError):
@@ -35,18 +32,6 @@ class DecompositionError(ValueError):
     def __init__(self, message: str, witness: Optional[dict] = None):
         super().__init__(message)
         self.witness = witness or {}
-
-
-@dataclass(frozen=True)
-class CoverInstance:
-    graph: Digraph
-    capacities: CapacityVector
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        self.capacities.check_domain(self.graph)
 
 
 def check_cover_conditions(
@@ -111,9 +96,8 @@ def _augmented_cover_parts(
     covered = Counter()
     for part in parts:
         covered.update(part)
-    assert sum(covered.values()) == graph.arc_count and set(covered) == set(original), (
-        "cover parts must partition the arc set"
-    )
+    if sum(covered.values()) != graph.arc_count or set(covered) != set(original):
+        raise AssertionError("cover parts must partition the arc set")
     return parts
 
 
@@ -216,8 +200,10 @@ def _peel_decomposition(
     for level in range(k, 0, -1):
         if level == 1:
             last = frozenset(a for a in graph.arc_ids if remaining[a] > 0)
-            assert all(c <= 1 for c in remaining), "remainder must be a 0/1 vector"
-            assert is_b_branching(graph, capacities, last), "final remainder must be feasible"
+            if any(c > 1 for c in remaining):
+                raise AssertionError("remainder must be a 0/1 vector")
+            if not is_b_branching(graph, capacities, last):
+                raise AssertionError("final remainder must be feasible")
             parts.append(last)
             break
         forced = [a for a in graph.arc_ids if remaining[a] == level]
@@ -237,7 +223,8 @@ def _peel_decomposition(
                     break
             if found is not None:
                 break
-        assert found is not None, "decomposition must exist for a point of the scaled polytope"
+        if found is None:
+            raise AssertionError("decomposition must exist for a point of the scaled polytope")
         parts.append(found)
         for a in found:
             remaining[a] -= 1
@@ -290,7 +277,9 @@ def integer_decompose(
 
     total = Counter()
     for part in parts:
-        assert is_b_branching(graph, capacities, part)
+        if not is_b_branching(graph, capacities, part):
+            raise AssertionError("decomposed part is not feasible")
         total.update(part)
-    assert all(total[a] == values[a] for a in graph.arc_ids), "parts must sum to the input vector"
+    if any(total[a] != values[a] for a in graph.arc_ids):
+        raise AssertionError("parts must sum to the input vector")
     return parts

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .digraph import ContractionRecord, Digraph, contract, strong_components
-from .matroids import BBranching, CapacityVector, indegree_profile
+from .digraph import ContractionRecord, Digraph, contract
+from .matroids import BBranching, CapacityVector, indegree_profile, saturated_components
 
 
 class WeightError(ValueError):
@@ -195,24 +195,6 @@ def _alpha_cheapest(
     return alpha
 
 
-def _tight_components(
-    graph: Digraph, caps: Mapping[int, int], selected: frozenset
-) -> list[frozenset]:
-    comps = strong_components(graph, selected)
-    comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    inside = [0] * len(comps)
-    for a in selected:
-        idx = comp_of[graph.tail(a)]
-        if idx == comp_of[graph.head(a)]:
-            inside[idx] += 1
-    return [
-        comp for idx, comp in enumerate(comps) if inside[idx] == sum(caps[v] for v in comp)
-    ]
-
-
 def _run_phases(
     graph: Digraph,
     caps: dict,
@@ -225,7 +207,7 @@ def _run_phases(
     phase_limit = graph.vertex_count + graph.arc_count + 1
     while True:
         selected = select(graph, caps, wnum)
-        tight = _tight_components(graph, caps, selected)
+        tight = saturated_components(graph, caps, selected)
         phase_graph = graph
         phase_caps = dict(caps)
         phase_wnum = dict(wnum)
@@ -246,7 +228,8 @@ def _run_phases(
             alpha = alpha_rule(graph, current, wnum, component, entering)
             graph, record = contract(graph, component, current, wnum)
             anchor = record.cheapest_internal
-            assert anchor is not None, "tight component with empty selection"
+            if anchor is None:
+                raise AssertionError("tight component with empty selection")
             for a in record.entering:
                 wnum[a] = wnum[a] - wnum[alpha[a]] + wnum[anchor]
             for a in record.dropped:
@@ -452,19 +435,8 @@ def verify_certificate(
     profile = indegree_profile(graph, subset)
     if any(profile[v] > capacities[v] for v in graph.vertices):
         return CertificateCheck(False, "primal-indegree-violated")
-    comp_of: dict[int, int] = {}
-    comps = strong_components(graph, subset)
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    inside_counts = [0] * len(comps)
-    for a in subset:
-        idx = comp_of[graph.tail(a)]
-        if idx == comp_of[graph.head(a)]:
-            inside_counts[idx] += 1
-    for idx, comp in enumerate(comps):
-        if inside_counts[idx] >= capacities.total(comp):
-            return CertificateCheck(False, "primal-sparsity-violated")
+    if saturated_components(graph, capacities, subset):
+        return CertificateCheck(False, "primal-sparsity-violated")
 
     p_vertex = certificate.p_vertex
     if set(p_vertex) != set(graph.vertices):

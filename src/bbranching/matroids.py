@@ -236,6 +236,29 @@ def indegree_profile(graph: Digraph, arcs: Iterable[int]) -> dict[int, int]:
     return profile
 
 
+def saturated_components(
+    graph: Digraph, caps: Mapping[int, int], arcs: frozenset
+) -> list[frozenset]:
+    """Strong components X of (V, F) with |F[X]| = b(X), for `caps` indexable
+    by vertex.  Unchecked: for indegree-independent F these are exactly the
+    sparsity-violating components.  Sorted by minimum vertex id."""
+    comps = strong_components(graph, arcs)
+    component_of: dict[int, int] = {}
+    for idx, comp in enumerate(comps):
+        for v in comp:
+            component_of[v] = idx
+    induced_counts = [0] * len(comps)
+    for a in arcs:
+        ct = component_of[graph.tail(a)]
+        if ct == component_of[graph.head(a)]:
+            induced_counts[ct] += 1
+    return [
+        comp
+        for idx, comp in enumerate(comps)
+        if induced_counts[idx] == sum(caps[v] for v in comp)
+    ]
+
+
 def sparsity_violating_components(
     graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]
 ) -> list[frozenset]:
@@ -250,21 +273,7 @@ def sparsity_violating_components(
         raise IndegreeDependenceError(
             "component-based sparsity detection needs an indegree-independent set"
         )
-    component_of: dict[int, int] = {}
-    comps = strong_components(graph, subset)
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            component_of[v] = idx
-    induced_counts = [0] * len(comps)
-    for a in subset:
-        ct = component_of[graph.tail(a)]
-        if ct == component_of[graph.head(a)]:
-            induced_counts[ct] += 1
-    return [
-        comp
-        for idx, comp in enumerate(comps)
-        if induced_counts[idx] == capacities.total(comp)
-    ]
+    return saturated_components(graph, capacities, subset)
 
 
 def _sparsity_brute_force(graph: Digraph, capacities: CapacityVector, subset: frozenset) -> bool:
@@ -296,17 +305,18 @@ def sparsity_independent(graph: Digraph, capacities: CapacityVector, arcs: Itera
     allowed on small graphs.
     """
     subset = frozenset(arcs)
-    if indegree_independent(graph, capacities, subset):
+    try:
         return not sparsity_violating_components(graph, capacities, subset)
-    return _sparsity_brute_force(graph, capacities, subset)
+    except IndegreeDependenceError:
+        return _sparsity_brute_force(graph, capacities, subset)
 
 
 def is_b_branching(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:
     """Conjunction of the indegree and sparsity independence tests."""
-    subset = frozenset(arcs)
-    if not indegree_independent(graph, capacities, subset):
+    try:
+        return not sparsity_violating_components(graph, capacities, arcs)
+    except IndegreeDependenceError:
         return False
-    return not sparsity_violating_components(graph, capacities, subset)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from .greedy import (
 )
 from .matroids import (
     CapacityVector,
+    IndegreeDependenceError,
     MatroidOracle,
     fundamental_circuit,
-    indegree_independent,
     sparsity_violating_components,
 )
 
@@ -133,8 +133,10 @@ def mr_max_weight_b_branching(
         mine = [a for a in graph.in_arc_ids(v) if a in final]
         if not oracles[v].is_independent(mine):
             raise OracleInconsistencyError(f"output is dependent at vertex {v}")
-    if not indegree_independent(graph, capacities, final):
-        raise OracleInconsistencyError("output exceeds a vertex capacity")
-    if sparsity_violating_components(graph, capacities, final):
+    try:
+        violating = sparsity_violating_components(graph, capacities, final)
+    except IndegreeDependenceError:
+        raise OracleInconsistencyError("output exceeds a vertex capacity") from None
+    if violating:
         raise AssertionError("output violates the sparsity constraints")
     return final

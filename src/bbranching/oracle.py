@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Optional
 
 from .digraph import Digraph
 from .greedy import WeightVector
-from .matroids import CapacityVector, sparsity_violating_components
+from .matroids import CapacityVector, UniformOracle, sparsity_violating_components
 
 
 class SizeGateError(RuntimeError):
@@ -128,49 +128,11 @@ def brute_max_weight(
 ) -> Fraction:
     """Exact optimum by scanning all indegree-independent sets.
 
-    Enumerates per-vertex choices of positive-weight entering arcs (at most
-    the capacity each), pruning with an upper bound, and keeps the best
-    sparsity-independent combination.
+    The indegree cap b(v) is the rank-b(v) uniform matroid on the arcs
+    entering v, so this is the restricted scan with those oracles.
     """
-    gate.check_arcs(graph.arc_count)
-    wv = WeightVector.coerce(weights, graph.arc_count)
-    nums = wv.numerators
-
-    per_vertex: list[list[tuple[int, tuple[int, ...]]]] = []
-    for v in graph.vertices:
-        pool = [a for a in graph.in_arc_ids(v) if nums[a] > 0]
-        options = []
-        for size in range(0, min(capacities[v], len(pool)) + 1):
-            for combo in combinations(pool, size):
-                options.append((sum(nums[a] for a in combo), combo))
-        options.sort(key=lambda item: -item[0])
-        per_vertex.append(options)
-
-    suffix_best = [0] * (len(per_vertex) + 1)
-    for i in range(len(per_vertex) - 1, -1, -1):
-        top = per_vertex[i][0][0] if per_vertex[i] else 0
-        suffix_best[i] = suffix_best[i + 1] + top
-
-    best = 0  # the empty set is always feasible
-    chosen: list[int] = []
-
-    def search(i: int, acc: int) -> None:
-        nonlocal best
-        if acc + suffix_best[i] <= best:
-            return
-        if i == len(per_vertex):
-            if not sparsity_violating_components(graph, capacities, frozenset(chosen)):
-                best = acc
-            return
-        for value, combo in per_vertex[i]:
-            if acc + value + suffix_best[i + 1] <= best:
-                break
-            chosen.extend(combo)
-            search(i + 1, acc + value)
-            del chosen[len(chosen) - len(combo):]
-
-    search(0, 0)
-    return Fraction(best, wv.denominator)
+    oracles = {v: UniformOracle(graph.in_arc_ids(v), capacities[v]) for v in graph.vertices}
+    return brute_max_weight_restricted(graph, capacities, weights, oracles, gate)
 
 
 def brute_max_weight_restricted(
@@ -182,8 +144,9 @@ def brute_max_weight_restricted(
 ) -> Fraction:
     """Exact optimum over sets independent in every vertex oracle and sparse.
 
-    Same scan as `brute_max_weight` but per-vertex choices are filtered
-    through the attached independence oracle.
+    Enumerates per-vertex choices of positive-weight entering arcs (at most
+    the capacity each, independent in the vertex's oracle), pruning with an
+    upper bound, and keeps the best sparsity-independent combination.
     """
     gate.check_arcs(graph.arc_count)
     wv = WeightVector.coerce(weights, graph.arc_count)
@@ -206,7 +169,7 @@ def brute_max_weight_restricted(
         top = per_vertex[i][0][0] if per_vertex[i] else 0
         suffix_best[i] = suffix_best[i + 1] + top
 
-    best = 0
+    best = 0  # the empty set is always feasible
     chosen: list[int] = []
 
     def search(i: int, acc: int) -> None:

@@ -8,6 +8,7 @@ demanded region, shrinking the problem until every demand is met.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import combinations
@@ -94,16 +95,6 @@ class PackingResult:
     branchings: tuple[frozenset, ...]
 
 
-def _cut_indegree(graph: Digraph, alive: frozenset, subset: frozenset) -> int:
-    """Arcs of `alive` entering the vertex set from outside (loops excluded)."""
-    count = 0
-    for v in subset:
-        for a in graph.in_arc_ids(v):
-            if a in alive and graph.tail(a) not in subset:
-                count += 1
-    return count
-
-
 def _demand_count(
     capacities: CapacityVector, demands: Sequence[Mapping[int, int]], subset: frozenset
 ) -> int:
@@ -123,50 +114,51 @@ def g_value(instance: PackingInstance, subset: Iterable[int]) -> int:
     )
 
 
-def check_packing_conditions(
-    instance: PackingInstance, backend: Optional[SfmBackend] = None
+def _shortfall(
+    graph: Digraph,
+    capacities: CapacityVector,
+    alive: frozenset,
+    demands: Sequence[Mapping[int, int]],
+    subset: frozenset,
+) -> int:
+    """Arcs of `alive` entering the vertex set from outside (loops excluded),
+    minus the demands saturating it; the cut condition says it is never negative."""
+    cut = 0
+    for v in subset:
+        for a in graph.in_arc_ids(v):
+            if a in alive and graph.tail(a) not in subset:
+                cut += 1
+    return cut - _demand_count(capacities, demands, subset)
+
+
+def _packing_conditions(
+    graph: Digraph,
+    capacities: CapacityVector,
+    alive: frozenset,
+    demands: Sequence[Mapping[int, int]],
+    backend: SfmBackend,
 ) -> Feasibility:
-    """Degree condition per vertex, cut condition via set-function minimization."""
-    backend = backend or _DEFAULT_BACKEND
-    graph = instance.graph
-    demands = [d.as_dict() for d in instance.demands]
+    """Degree condition per vertex, then the cut condition via one SFM call."""
     for v in graph.vertices:
-        if len(graph.in_arc_ids(v)) < sum(d[v] for d in demands):
+        if sum(1 for a in graph.in_arc_ids(v) if a in alive) < sum(d[v] for d in demands):
             return Feasibility(False, vertex=v)
     if graph.vertex_count == 0:
         return Feasibility(True)
-    alive = graph.arc_id_set
-
-    def shortfall(subset: frozenset) -> int:
-        return _cut_indegree(graph, alive, subset) - _demand_count(
-            instance.capacities, demands, subset
-        )
-
+    shortfall = functools.partial(_shortfall, graph, capacities, alive, demands)
     witness, value = backend.minimize(shortfall, graph.vertices)
     if value < 0:
         return Feasibility(False, subset=witness)
     return Feasibility(True)
 
 
-def _residual_feasible(
-    graph: Digraph,
-    capacities: CapacityVector,
-    alive: frozenset,
-    demands: Sequence[Mapping[int, int]],
-    backend: SfmBackend,
-) -> bool:
-    for v in graph.vertices:
-        have = sum(1 for a in graph.in_arc_ids(v) if a in alive)
-        if have < sum(d[v] for d in demands):
-            return False
-    if graph.vertex_count == 0:
-        return True
-
-    def shortfall(subset: frozenset) -> int:
-        return _cut_indegree(graph, alive, subset) - _demand_count(capacities, demands, subset)
-
-    _, value = backend.minimize(shortfall, graph.vertices)
-    return value >= 0
+def check_packing_conditions(
+    instance: PackingInstance, backend: Optional[SfmBackend] = None
+) -> Feasibility:
+    """Degree condition per vertex, cut condition via set-function minimization."""
+    graph = instance.graph
+    demands = [d.as_dict() for d in instance.demands]
+    backend = backend or _DEFAULT_BACKEND
+    return _packing_conditions(graph, instance.capacities, graph.arc_id_set, demands, backend)
 
 
 def find_disjoint_b_branchings(
@@ -178,7 +170,7 @@ def find_disjoint_b_branchings(
     vertex set that is tight for the cut condition and meets the active
     demand's frontier, then commits the smallest-id arc running within it from
     the unsaturated side into the demanded side.  Every step preserves both
-    feasibility conditions (asserted), so the loop always completes.
+    feasibility conditions (checked), so the loop always completes.
     """
     backend = backend or _DEFAULT_BACKEND
     feasibility = check_packing_conditions(instance, backend)
@@ -208,18 +200,16 @@ def find_disjoint_b_branchings(
         zero = frozenset(v for v in graph.vertices if active[v] == 0)
         full = frozenset(v for v in graph.vertices if active[v] == capacities[v])
         partial = graph.vertex_set - zero - full
-        alive_frozen = frozenset(alive)
-
-        def shortfall(subset: frozenset) -> int:
-            return _cut_indegree(graph, alive_frozen, subset) - _demand_count(
-                capacities, demands, subset
-            )
 
         def frontier(subset: frozenset) -> bool:
             return bool(subset & (zero | partial)) and bool(subset - zero)
 
+        shortfall = functools.partial(_shortfall, graph, capacities, frozenset(alive), demands)
         tight, value = backend.minimize(shortfall, graph.vertices, constraint=frontier)
-        assert value == 0, "feasible instance must have a tight set (the whole vertex set qualifies)"
+        if value != 0:
+            raise AssertionError(
+                "feasible instance must have a tight set (the whole vertex set qualifies)"
+            )
 
         sources = tight & (zero | partial)
         targets = tight & (partial | full)
@@ -231,20 +221,22 @@ def find_disjoint_b_branchings(
             ),
             default=None,
         )
-        assert arc is not None, "a transferable arc must exist inside the tight set"
+        if arc is None:
+            raise AssertionError("a transferable arc must exist inside the tight set")
 
         parts[active_index].add(arc)
         alive.discard(arc)
         active[graph.head(arc)] -= 1
-        assert _residual_feasible(
-            graph, capacities, frozenset(alive), demands, backend
-        ), "committing an arc must preserve the packing conditions"
+        if not _packing_conditions(graph, capacities, frozenset(alive), demands, backend):
+            raise AssertionError("committing an arc must preserve the packing conditions")
 
     branchings = tuple(frozenset(part) for part in parts)
     for demand, part in zip(instance.demands, branchings):
         profile = indegree_profile(graph, part)
-        assert all(profile[v] == demand[v] for v in graph.vertices), "indegree mismatch"
-        assert is_b_branching(graph, capacities, part), "constructed part is not feasible"
+        if any(profile[v] != demand[v] for v in graph.vertices):
+            raise AssertionError("indegree mismatch")
+        if not is_b_branching(graph, capacities, part):
+            raise AssertionError("constructed part is not feasible")
     return PackingResult(branchings)
 
 
@@ -297,20 +289,13 @@ def min_weight_disjoint_b_branchings(
             profile[h] = profile.get(h, 0) + 1
         if any(profile.get(v, 0) != needed[v] for v in graph.vertices):
             continue
-        subset = frozenset(combo)
-
-        def shortfall(vertex_set: frozenset) -> int:
-            return _cut_indegree(graph, subset, vertex_set) - _demand_count(
-                instance.capacities, demands, vertex_set
-            )
-
-        _, value = backend.minimize(shortfall, graph.vertices)
-        if value < 0:
+        if not _packing_conditions(graph, instance.capacities, frozenset(combo), demands, backend):
             continue
         weight = sum(wv.numerators[a] for a in combo)
         if best is None or weight < best[0]:
             best = (weight, combo)
-    assert best is not None, "a feasible instance must admit at least one candidate union"
+    if best is None:
+        raise AssertionError("a feasible instance must admit at least one candidate union")
 
     sub = Digraph(
         graph.vertices, [(a, *graph.endpoints(a)) for a in best[1]]
@@ -318,5 +303,6 @@ def min_weight_disjoint_b_branchings(
     restricted = PackingInstance(sub, instance.capacities, instance.demands)
     result = find_disjoint_b_branchings(restricted, backend)
     for part in result.branchings:
-        assert is_b_branching(graph, instance.capacities, part)
+        if not is_b_branching(graph, instance.capacities, part):
+            raise AssertionError("packed part is not feasible in the original graph")
     return result

@@ -5,7 +5,6 @@ import pytest
 
 from bbranching import (
     CapacityVector,
-    CoverInstance,
     DecompositionError,
     Digraph,
     InfeasiblePackingError,
@@ -36,11 +35,15 @@ def test_cover_degree_witness():
     assert not feasibility and feasibility.vertex == 1
 
 
-def test_cover_instance_validation():
+def test_cover_rejects_k_below_one():
     g = Digraph.from_pairs(1, [])
+    b = CapacityVector([1])
     with pytest.raises(ValueError):
-        CoverInstance(g, CapacityVector([1]), 0)
-    CoverInstance(g, CapacityVector([1]), 2)
+        check_cover_conditions(g, b, 0)
+    with pytest.raises(ValueError):
+        integer_decompose(g, b, 0, [])
+    assert check_cover_conditions(g, b, 2)
+    assert integer_decompose(g, b, 2, []) == [frozenset(), frozenset()]
 
 
 def test_cover_single_part_when_already_feasible():

@@ -7,6 +7,7 @@ from bbranching import (
     Digraph,
     MatroidAssignment,
     WeightVector,
+    enumerate_b_branchings,
     max_weight_b_branching,
     mr_max_weight_b_branching,
     partition_oracle,
@@ -104,6 +105,25 @@ def test_partition_oracles_match_brute_force():
             mine = [a for a in g.in_arc_ids(v) if a in result]
             assert assignment.oracles[v].is_independent(mine)
         assert sparsity_independent(g, b, result)
+
+
+def test_restricted_brute_force_matches_definition():
+    # The restricted search prunes; the definition filters every feasible set.
+    rng = random.Random(509)
+    for _ in range(150):
+        g = random_digraph(rng, 6, 12, loop_rate=0.1)
+        b, assignment = random_partition_assignment(rng, g)
+        w = [rng.randint(-3, 8) for _ in range(g.arc_count)]
+        wv = WeightVector.from_values(w)
+        best = max(
+            wv.value(arcs)
+            for arcs in enumerate_b_branchings(g, b)
+            if all(
+                oracle.is_independent([a for a in g.in_arc_ids(v) if a in arcs])
+                for v, oracle in assignment.oracles.items()
+            )
+        )
+        assert brute_max_weight_restricted(g, b, w, assignment.oracles) == best
 
 
 def test_matroid_loop_arcs_never_selected():
