@@ -28,7 +28,6 @@ from .matroids import (
 from .greedy import (
     CertificateCheck,
     DualCertificate,
-    PhaseState,
     WeightVector,
     dual_from_run,
     max_weight_b_branching,
@@ -84,7 +83,6 @@ __all__ = [
     "PackingInstance",
     "PackingResult",
     "PartitionOracle",
-    "PhaseState",
     "SfmBackend",
     "SizeGate",
     "SizeGateError",

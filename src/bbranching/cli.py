@@ -101,8 +101,8 @@ class InstanceDocument:
             if not (0 <= tail < n and 0 <= head < n):
                 raise _fail(f"$.arcs[{i}]", f"endpoint outside 0..{n - 1}")
             pairs.append((tail, head))
-        graph = Digraph.from_pairs(n, pairs)
-
+        # Checked before the graph is built, so that a short document with a
+        # huge n is rejected without allocating n vertices.
         b = raw.get("b")
         if not isinstance(b, list) or len(b) != n:
             raise _fail("$.b", f"expected a list of {n} capacities")
@@ -110,7 +110,7 @@ class InstanceDocument:
             capacities = CapacityVector([_expect_int(c, f"$.b[{i}]") for i, c in enumerate(b)])
         except CapacityError as exc:
             raise _fail("$.b", str(exc)) from None
-        return cls(raw, graph, capacities)
+        return cls(raw, Digraph.from_pairs(n, pairs), capacities)
 
     def weights(self) -> WeightVector:
         w = self.raw.get("w")
@@ -174,6 +174,9 @@ class InstanceDocument:
                 caps = spec.get("caps")
                 if not isinstance(blocks, list) or not isinstance(caps, list):
                     raise _fail(path, "partition oracle needs 'blocks' and 'caps' lists")
+                for i, blk in enumerate(blocks):
+                    if not isinstance(blk, list):
+                        raise _fail(f"{path}.blocks[{i}]", "expected a list of arc ids")
                 try:
                     oracles[v] = partition_oracle(
                         ground,
@@ -220,6 +223,8 @@ class InstanceDocument:
             path = f"$.certificate.p_sets[{i}]"
             if not isinstance(entry, dict) or "X" not in entry or "p" not in entry:
                 raise _fail(path, "expected an object with 'X' and 'p'")
+            if not isinstance(entry["X"], list):
+                raise _fail(f"{path}.X", "expected a list of vertex ids")
             members = frozenset(_expect_int(v, f"{path}.X") for v in entry["X"])
             parsed_sets.append((members, _parse_rational(entry["p"], f"{path}.p")))
         q_map = {}

@@ -79,9 +79,6 @@ class Digraph:
     def arc_count(self) -> int:
         return len(self._ids)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._vset
-
     def tail(self, arc_id: int) -> int:
         return self._tails[arc_id]
 
@@ -102,12 +99,6 @@ class Digraph:
             return self._in[v]
         except KeyError:
             raise ValueError(f"unknown vertex id {v}") from None
-
-    def to_pairs(self) -> list[tuple[int, int]]:
-        """Endpoint pairs indexed by arc id; requires dense ids 0..m-1."""
-        if self._ids != tuple(range(len(self._ids))):
-            raise ValueError("arc ids are not dense")
-        return [(self._tails[a], self._heads[a]) for a in self._ids]
 
     def __repr__(self) -> str:
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"

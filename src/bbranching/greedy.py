@@ -16,10 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .digraph import ContractionRecord, Digraph, contract
-from .matroids import BBranching, CapacityVector, indegree_profile, saturated_components
+from .matroids import (
+    BBranching,
+    CapacityVector,
+    fundamental_circuit,
+    indegree_profile,
+    saturated_components,
+)
 
 
 class WeightError(ValueError):
@@ -93,24 +99,18 @@ class WeightVector:
         return Fraction(sum(self.numerators[a] for a in arcs), self.denominator)
 
 
+class OracleInconsistencyError(RuntimeError):
+    """An attached oracle answered in a way no matroid can."""
+
+
 @dataclass(frozen=True)
 class ContractionStep:
-    """One contraction plus the replacement arc chosen for each reattached arc."""
+    """One contraction, the replacement arc chosen for each reattached arc, and
+    the working weight of `record.cheapest_internal` when it was contracted."""
 
     record: ContractionRecord
     replacement: Mapping[int, int]
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Snapshot of one phase: the graph it ran on and what it did to it."""
-
-    index: int
-    graph: Digraph
-    capacities: Mapping[int, int]
-    weights: Mapping[int, int]
-    selected: frozenset
-    steps: tuple[ContractionStep, ...]
+    anchor_weight: int
 
 
 @dataclass(frozen=True)
@@ -151,70 +151,81 @@ class CertificateCheck:
 
 # ---------------------------------------------------------------------------
 # Phase engine (shared with the matroid-restricted variant)
+#
+# `oracles` maps a vertex to its matroid over the entering arcs.  A vertex
+# without one (every vertex of the plain problem, every contracted vertex)
+# follows the capacity rule, i.e. a rank-caps[v] uniform matroid.
 
-Selector = Callable[[Digraph, Mapping[int, int], Mapping[int, int]], frozenset]
-AlphaRule = Callable[[Digraph, frozenset, Mapping[int, int], frozenset, Sequence[int]], dict]
 
-
-def _select_heaviest(graph: Digraph, caps: Mapping[int, int], wnum: Mapping[int, int]) -> frozenset:
+def _select_heaviest(
+    graph: Digraph, caps: Mapping[int, int], wnum: Mapping[int, int], oracles: Mapping
+) -> frozenset:
+    """Per vertex, the matroid greedy over the positive entering arcs."""
     chosen: list[int] = []
     for v in graph.vertices:
         cap = caps[v]
         cand = [a for a in graph.in_arc_ids(v) if wnum[a] > 0]
-        if len(cand) > cap:
+        oracle = oracles.get(v)
+        if oracle is not None or len(cand) > cap:
             cand.sort(key=lambda a: (-wnum[a], a))
-            del cand[cap:]
-        chosen.extend(cand)
+        if oracle is None:
+            chosen.extend(cand[:cap])
+            continue
+        picked: list[int] = []
+        for a in cand:
+            if len(picked) >= cap:
+                break
+            if oracle.is_independent((*picked, a)):
+                picked.append(a)
+        chosen.extend(picked)
     return frozenset(chosen)
 
 
-def cheapest_selected_into(
-    graph: Digraph, selected: frozenset, wnum: Mapping[int, int], head: int
-) -> int:
-    """Minimum-weight selected arc entering `head`, ties to the smaller id."""
-    cand = [f for f in graph.in_arc_ids(head) if f in selected]
-    if not cand:
-        raise AssertionError(f"saturated vertex {head} has no selected entering arc")
-    return min(cand, key=lambda f: (wnum[f], f))
-
-
-def _alpha_cheapest(
-    graph: Digraph,
-    selected: frozenset,
-    wnum: Mapping[int, int],
-    component: frozenset,
-    entering: Sequence[int],
+def _replacement_arcs(
+    graph: Digraph, selected: frozenset, wnum: Mapping, entering: Sequence[int], oracles: Mapping
 ) -> dict:
-    per_head: dict[int, int] = {}
+    """Per arc entering a tight component, the cheapest selected arc into its
+    head (capacity rule, cached per head) or the cheapest other member of its
+    fundamental circuit in the head's matroid; ties to the smaller id."""
     alpha: dict[int, int] = {}
+    per_head: dict[int, int] = {}
     for a in entering:
         y = graph.head(a)
-        if y not in per_head:
-            per_head[y] = cheapest_selected_into(graph, selected, wnum, y)
-        alpha[a] = per_head[y]
+        oracle = oracles.get(y)
+        if oracle is None and y in per_head:
+            alpha[a] = per_head[y]
+            continue
+        base = [f for f in graph.in_arc_ids(y) if f in selected]
+        if oracle is None:
+            if not base:
+                raise AssertionError(f"saturated vertex {y} has no selected entering arc")
+            alpha[a] = per_head[y] = min(base, key=lambda f: (wnum[f], f))
+            continue
+        circuit = fundamental_circuit(oracle, base, a)
+        if circuit is None:
+            raise OracleInconsistencyError(f"vertex {y} is saturated yet accepts another arc")
+        pool = circuit - {a}
+        if not pool:
+            raise OracleInconsistencyError(f"arc {a} became a matroid loop after preprocessing")
+        alpha[a] = min(pool, key=lambda f: (wnum[f], f))
     return alpha
 
 
 def _run_phases(
-    graph: Digraph,
-    caps: dict,
-    wnum: dict,
-    select: Selector,
-    alpha_rule: AlphaRule,
-) -> tuple[frozenset, list[PhaseState]]:
-    """Run selection/contraction phases, then expand back to original arcs."""
-    phases: list[PhaseState] = []
+    graph: Digraph, caps: dict, wnum: dict, oracles: Mapping
+) -> tuple[frozenset, list[tuple[ContractionStep, ...]]]:
+    """Run selection/contraction phases, then expand back to original arcs.
+
+    Returns the solution and the contraction history: one tuple of steps per
+    phase, the last one empty.  `caps` and `wnum` are updated in place.
+    """
+    history: list[tuple[ContractionStep, ...]] = []
     phase_limit = graph.vertex_count + graph.arc_count + 1
     while True:
-        selected = select(graph, caps, wnum)
+        selected = _select_heaviest(graph, caps, wnum, oracles)
         tight = saturated_components(graph, caps, selected)
-        phase_graph = graph
-        phase_caps = dict(caps)
-        phase_wnum = dict(wnum)
         if not tight:
-            phases.append(
-                PhaseState(len(phases), phase_graph, phase_caps, phase_wnum, selected, ())
-            )
+            history.append(())
             break
         steps: list[ContractionStep] = []
         for component in tight:
@@ -225,30 +236,29 @@ def _run_phases(
                 for a in graph.in_arc_ids(v)
                 if graph.tail(a) not in component
             ]
-            alpha = alpha_rule(graph, current, wnum, component, entering)
+            alpha = _replacement_arcs(graph, current, wnum, entering, oracles)
             graph, record = contract(graph, component, current, wnum)
             anchor = record.cheapest_internal
             if anchor is None:
                 raise AssertionError("tight component with empty selection")
+            anchor_weight = wnum[anchor]
             for a in record.entering:
-                wnum[a] = wnum[a] - wnum[alpha[a]] + wnum[anchor]
+                wnum[a] = wnum[a] - wnum[alpha[a]] + anchor_weight
             for a in record.dropped:
                 del wnum[a]
             for v in component:
                 del caps[v]
             caps[record.new_vertex] = 1
-            steps.append(ContractionStep(record, alpha))
-        phases.append(
-            PhaseState(len(phases), phase_graph, phase_caps, phase_wnum, selected, tuple(steps))
-        )
-        if len(phases) > phase_limit:
+            steps.append(ContractionStep(record, alpha, anchor_weight))
+        history.append(tuple(steps))
+        if len(history) > phase_limit:
             raise AssertionError(
                 "phase count exceeded its bound; contraction is not making progress"
             )
 
-    final = set(phases[-1].selected)
-    for phase in reversed(phases[:-1]):
-        for step in reversed(phase.steps):
+    final = set(selected)
+    for steps in reversed(history):
+        for step in reversed(steps):
             record = step.record
             incoming = [a for a in final if a in record.entering]
             if len(incoming) > 1:
@@ -257,7 +267,7 @@ def _run_phases(
                 final |= record.internal - {step.replacement[incoming[0]]}
             else:
                 final |= record.internal - {record.cheapest_internal}
-    return frozenset(final), phases
+    return frozenset(final), history
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +293,7 @@ def max_weight_indegree_set(
     caps = capacities.as_dict() if isinstance(capacities, CapacityVector) else dict(capacities)
     wv = WeightVector.coerce(weights, graph.arc_count)
     wnum = {a: wv.numerators[a] for a in graph.arc_ids}
-    return _select_heaviest(graph, caps, wnum)
+    return _select_heaviest(graph, caps, wnum, {})
 
 
 def max_weight_b_branching(
@@ -305,8 +315,8 @@ def max_weight_b_branching(
     work = Digraph(graph.vertices, kept)
     caps = capacities.as_dict()
     wnum = {a: nums[a] for a, _, _ in kept}
-    final, phases = _run_phases(work, caps, wnum, _select_heaviest, _alpha_cheapest)
-    certificate = dual_from_run(phases, graph, capacities, wv)
+    final, history = _run_phases(work, caps, wnum, {})
+    certificate = dual_from_run(history, graph, capacities, wv)
     return BBranching.of(graph, capacities, final), certificate
 
 
@@ -319,7 +329,7 @@ def _kth_largest(values: list, k: int) -> int:
 
 
 def dual_from_run(
-    phases: Sequence[PhaseState],
+    history: Sequence[tuple[ContractionStep, ...]],
     graph: Digraph,
     capacities: CapacityVector,
     weights: Union[WeightVector, Iterable[RationalLike]],
@@ -339,15 +349,17 @@ def dual_from_run(
     # only arcs swallowed by a contraction ever get charged.
     charged = list(wv.numerators)
 
-    alive0 = phases[0].graph.arc_id_set if phases else frozenset()
-    pool = {v: [a for a in graph.in_arc_ids(v) if a in alive0] for v in graph.vertices}
+    # The arcs the solver keeps: negative ones never enter its working graph.
+    pool = {
+        v: [a for a in graph.in_arc_ids(v) if wv.numerators[a] >= 0] for v in graph.vertices
+    }
 
     expansion: dict[int, frozenset] = {}
     enclosed: dict[int, frozenset] = {}
     sets: list[tuple[frozenset, int, frozenset]] = []  # (vertex set, potential, arcs inside)
 
-    for phase in phases:
-        for step in phase.steps:
+    for steps in history:
+        for step in steps:
             record = step.record
             members = frozenset()
             for u in record.merged:
@@ -358,8 +370,9 @@ def dual_from_run(
 
             # The set potential is capped by two kinds of margins: how far
             # each entering arc sits below the going rate at its original
-            # head, and the cheapest selected arc inside (at this phase's
-            # working weights, which carry earlier exchange adjustments).
+            # head, and the cheapest selected arc inside (at its working
+            # weight when contracted, which carries earlier exchange
+            # adjustments).
             going_rate: dict[int, int] = {}
             candidates: list[int] = []
             for a in sorted(record.entering):
@@ -369,8 +382,7 @@ def dual_from_run(
                     rate = _kth_largest([charged[e] for e in pool[y]], capacities[y])
                     going_rate[y] = rate
                 candidates.append(rate - charged[a])
-            for f in sorted(record.internal):
-                candidates.append(phase.weights[f])
+            candidates.append(step.anchor_weight)
             potential = min(candidates)
 
             if potential:

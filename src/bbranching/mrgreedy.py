@@ -1,35 +1,25 @@
 """Matroid-restricted variant: an arbitrary rank-b(v) matroid per vertex.
 
-Same phase structure as the plain solver; per-vertex selection becomes the
-matroid greedy (heaviest first, keep what stays independent), and the
-replacement arc for a reattached arc is the cheapest member of its
-fundamental circuit in the head's matroid.  Contracted vertices carry
-rank-one uniform matroids.
+The plain solver's phase engine runs with the per-vertex oracles attached:
+selection at an original vertex is the matroid greedy (heaviest first, keep
+what stays independent), and the replacement arc for a reattached arc is the
+cheapest other member of its fundamental circuit in the head's matroid.
+Contracted vertices follow the capacity rule with capacity one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .digraph import Digraph
-from .greedy import (
-    RationalLike,
-    WeightVector,
-    _run_phases,
-    cheapest_selected_into,
-)
+from .greedy import OracleInconsistencyError, RationalLike, WeightVector, _run_phases
 from .matroids import (
     CapacityVector,
     IndegreeDependenceError,
     MatroidOracle,
-    fundamental_circuit,
     sparsity_violating_components,
 )
-
-
-class OracleInconsistencyError(RuntimeError):
-    """An attached oracle answered in a way no matroid can."""
 
 
 @dataclass(frozen=True)
@@ -77,57 +67,7 @@ def mr_max_weight_b_branching(
     caps = capacities.as_dict()
     wnum = {a: nums[a] for a, _, _ in kept}
 
-    def select(g: Digraph, current_caps, current_w) -> frozenset:
-        chosen: list[int] = []
-        for v in g.vertices:
-            cap = current_caps[v]
-            cand = [a for a in g.in_arc_ids(v) if current_w[a] > 0]
-            cand.sort(key=lambda a: (-current_w[a], a))
-            oracle = oracles.get(v)
-            if oracle is None:
-                chosen.extend(cand[:cap])
-                continue
-            picked: list[int] = []
-            for a in cand:
-                if len(picked) >= cap:
-                    break
-                if oracle.is_independent((*picked, a)):
-                    picked.append(a)
-            chosen.extend(picked)
-        return frozenset(chosen)
-
-    def alpha_rule(
-        g: Digraph,
-        selected: frozenset,
-        current_w,
-        component: frozenset,
-        entering: Sequence[int],
-    ) -> dict:
-        alpha: dict[int, int] = {}
-        per_head: dict[int, int] = {}
-        for a in entering:
-            y = g.head(a)
-            oracle = oracles.get(y)
-            if oracle is None:
-                if y not in per_head:
-                    per_head[y] = cheapest_selected_into(g, selected, current_w, y)
-                alpha[a] = per_head[y]
-                continue
-            base = [f for f in g.in_arc_ids(y) if f in selected]
-            circuit = fundamental_circuit(oracle, base, a)
-            if circuit is None:
-                raise OracleInconsistencyError(
-                    f"vertex {y} is saturated yet accepts another arc"
-                )
-            pool = circuit - {a}
-            if not pool:
-                raise OracleInconsistencyError(
-                    f"arc {a} became a matroid loop after preprocessing"
-                )
-            alpha[a] = min(pool, key=lambda f: (current_w[f], f))
-        return alpha
-
-    final, _ = _run_phases(work, caps, wnum, select, alpha_rule)
+    final, _ = _run_phases(work, caps, wnum, oracles)
 
     for v in graph.vertices:
         mine = [a for a in graph.in_arc_ids(v) if a in final]

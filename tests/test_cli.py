@@ -231,6 +231,29 @@ def test_malformed_inputs(tmp_path, capsys):
     )
     assert code == 1
 
+    doc = dict(TWO_CYCLE, solution=[0])
+    doc["certificate"] = {
+        "p_vertex": [0, 0], "p_sets": [{"X": 5, "p": "2"}], "q": [0, 0], "objective": 0
+    }
+    code, _, err = invoke(["verify", "--input", write(tmp_path, doc, "x.json")], capsys)
+    assert code == 1 and "$.certificate.p_sets[0].X" in err
+
+    doc = dict(TWO_CYCLE, matroids=[None, {"kind": "partition", "blocks": [0], "caps": [1]}])
+    code, _, err = invoke(
+        ["mr-max-weight", "--input", write(tmp_path, doc, "blocks.json")], capsys
+    )
+    assert code == 1 and "$.matroids[1].blocks[0]" in err
+
+
+def test_capacities_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
+    def refuse(n, pairs):
+        raise AssertionError(f"built a graph on {n} vertices")
+
+    monkeypatch.setattr("bbranching.cli.Digraph.from_pairs", refuse)
+    doc = {"n": 10**12, "arcs": [], "b": [1]}
+    code, _, err = invoke(["max-weight", "--input", write(tmp_path, doc)], capsys)
+    assert code == 1 and "$.b" in err
+
 
 def test_rational_weights_round_trip(tmp_path, capsys):
     doc = {"n": 2, "arcs": [[0, 1], [1, 0]], "b": [1, 1], "w": ["3/2", "2/3"]}

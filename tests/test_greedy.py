@@ -7,7 +7,6 @@ from bbranching import (
     CapacityVector,
     Digraph,
     DualCertificate,
-    PhaseState,
     WeightVector,
     brute_max_weight,
     dual_from_run,
@@ -143,17 +142,19 @@ def test_greedy_matches_brute_force():
 
 
 def test_phase_count_bounded_and_monotone():
-    from bbranching.greedy import _alpha_cheapest, _run_phases, _select_heaviest
+    from bbranching.greedy import _run_phases
 
     rng = random.Random(107)
     for _ in range(80):
         g = random_digraph(rng, 6, 14)
         b = random_capacities(rng, g, 2)
         w = {a: rng.randint(1, 3) for a in g.arc_ids}
-        _, phases = _run_phases(g, b.as_dict(), dict(w), _select_heaviest, _alpha_cheapest)
-        assert len(phases) <= g.vertex_count + g.arc_count + 1
-        for earlier, later in zip(phases, phases[1:]):
-            assert later.graph.vertex_count <= earlier.graph.vertex_count
+        _, history = _run_phases(g, b.as_dict(), dict(w), {})
+        assert len(history) <= g.vertex_count + g.arc_count + 1
+        assert all(history[:-1]) and history[-1] == ()
+        for steps in history:
+            for step in steps:
+                assert step.record.cheapest_internal in step.record.internal
 
 
 def test_certificate_laminarity():
@@ -211,6 +212,35 @@ def test_medium_scale_contraction_heavy_run_is_certified():
     assert certificate.is_integral
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unit_capacities_match_networkx_maximum_branching(seed):
+    # With b = 1 the problem is the classical maximum branching, so Edmonds'
+    # algorithm in networkx is an independent oracle far beyond brute force.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    n = 150
+    pairs = []
+    for _ in range(1500):
+        tail = rng.randrange(n)
+        pairs.append((tail, tail if rng.random() < 0.02 else rng.randrange(n)))
+    pairs += pairs[:50]  # parallel arcs
+    g = Digraph.from_pairs(n, pairs)
+    b = CapacityVector([1] * n)
+    w = [rng.randint(-5, 40) for _ in range(g.arc_count)]
+    solution, certificate = max_weight_b_branching(g, b, w)
+    check = verify_certificate(g, b, w, solution.arcs, certificate)
+    assert check, check.reason
+
+    multi = nx.MultiDiGraph()
+    multi.add_nodes_from(range(n))
+    for a, tail, head in g.arcs():
+        if tail != head:
+            multi.add_edge(tail, head, key=a, weight=w[a])
+    branching = nx.maximum_branching(multi, attr="weight")
+    expected = sum(weight for _, _, weight in branching.edges(data="weight"))
+    assert WeightVector.from_values(w).value(solution.arcs) == expected
+
+
 def test_verify_accepts_trivial_certificate():
     g = Digraph.from_pairs(2, [(0, 1)])
     b = CapacityVector([1, 1])
@@ -251,14 +281,11 @@ def test_verify_rejects_tampered_certificates():
 def test_dual_from_run_signature_uses_history():
     g = Digraph.from_pairs(2, [(0, 1), (1, 0)])
     b = CapacityVector([1, 1])
-    from bbranching.greedy import _alpha_cheapest, _run_phases, _select_heaviest
+    from bbranching.greedy import _run_phases
 
     work = Digraph(g.vertices, list(g.arcs()))
-    final, phases = _run_phases(
-        work, b.as_dict(), {0: 3, 1: 2}, _select_heaviest, _alpha_cheapest
-    )
-    assert all(isinstance(p, PhaseState) for p in phases)
-    certificate = dual_from_run(phases, g, b, [3, 2])
+    final, history = _run_phases(work, b.as_dict(), {0: 3, 1: 2}, {})
+    certificate = dual_from_run(history, g, b, [3, 2])
     assert verify_certificate(g, b, [3, 2], final, certificate)
 
 

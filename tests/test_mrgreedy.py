@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+import bbranching
 from bbranching import (
     CapacityVector,
     Digraph,
     MatroidAssignment,
+    MatroidOracle,
+    OracleInconsistencyError,
     WeightVector,
     enumerate_b_branchings,
     max_weight_b_branching,
@@ -14,6 +17,7 @@ from bbranching import (
     sparsity_independent,
     uniform_oracle,
 )
+from bbranching import mrgreedy
 from bbranching.oracle import brute_max_weight_restricted
 
 from helpers import random_digraph
@@ -136,3 +140,26 @@ def test_matroid_loop_arcs_never_selected():
     }
     result = mr_max_weight_b_branching(g, b, [100, 1], MatroidAssignment(oracles))
     assert result == {1}
+
+
+class _EverythingIndependent(MatroidOracle):
+    """Claims rank 1 yet calls every subset independent: no matroid does that."""
+
+    def is_independent(self, subset):
+        self._as_members(subset)
+        return True
+
+
+def test_inconsistent_oracle_raises_in_replacement_rule():
+    # 0->1 and 1->0 form a tight 2-cycle; arc 2->0 then enters vertex 0,
+    # whose oracle accepts it next to the selected arc 1->0.
+    g = Digraph.from_pairs(3, [(0, 1), (1, 0), (2, 0)])
+    b = CapacityVector([1, 1, 1])
+    oracles = {
+        0: _EverythingIndependent(g.in_arc_ids(0), 1),
+        1: uniform_oracle(g.in_arc_ids(1), 1),
+        2: uniform_oracle(g.in_arc_ids(2), 1),
+    }
+    with pytest.raises(OracleInconsistencyError, match="vertex 0 is saturated yet accepts"):
+        mr_max_weight_b_branching(g, b, [5, 5, 1], MatroidAssignment(oracles))
+    assert bbranching.OracleInconsistencyError is mrgreedy.OracleInconsistencyError
