@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,12 +62,21 @@ def _format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# An optional sign, decimal digits, then optionally "/digits" or ".digits".
+# No exponent: Fraction("1e999999999") alone would build 10**999999999.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def _parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise _fail(path, "booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise _fail(path, f"exponent forms are not accepted: {value!r}")
+        if not _RATIONAL.fullmatch(value):
+            raise _fail(path, f"cannot parse rational {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

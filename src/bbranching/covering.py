@@ -71,12 +71,18 @@ def _augmented_cover_parts(
     k: int,
     backend: SfmBackend,
 ) -> list[frozenset]:
-    """Partition of the arc ids into k feasible parts via root augmentation."""
+    """Partition of the arc ids into k feasible parts via root augmentation.
+
+    At most max(1, |A|) parts can be nonempty, and the cover conditions for
+    k imply them for that many parts (b >= 1), so the packing is built with
+    that many and padded with empty parts: the work does not grow with k.
+    """
+    packed = min(k, max(1, graph.arc_count))
     root = max(graph.vertices) + 1 if graph.vertex_count else 0
     arcs = [(a, t, h) for a, t, h in graph.arcs()]
     next_id = graph.arc_count
     for v in graph.vertices:
-        for _ in range(k * capacities[v] - len(graph.in_arc_ids(v))):
+        for _ in range(packed * capacities[v] - len(graph.in_arc_ids(v))):
             arcs.append((next_id, root, v))
             next_id += 1
     augmented = Digraph(list(graph.vertices) + [root], arcs)
@@ -87,12 +93,13 @@ def _augmented_cover_parts(
     demand_values[root] = 0
     demand = DemandVector(demand_values)
     instance = PackingInstance(
-        augmented, CapacityVector(caps), tuple(demand for _ in range(k))
+        augmented, CapacityVector(caps), tuple(demand for _ in range(packed))
     )
     result = find_disjoint_b_branchings(instance, backend)
 
     original = graph.arc_id_set
     parts = [part & original for part in result.branchings]
+    parts += [frozenset()] * (k - packed)
     covered = Counter()
     for part in parts:
         covered.update(part)

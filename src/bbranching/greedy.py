@@ -14,6 +14,7 @@ one common denominator, so certificate checks never see floating point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -465,38 +466,74 @@ def verify_certificate(
     if not set(certificate.q) <= set(graph.arc_ids):
         return CertificateCheck(False, "arc-potential-domain")
 
+    # Every value is scaled by the weight denominator `den` once: an int when
+    # its own denominator divides `den` (always so for the solver's certificates),
+    # otherwise an exact Fraction, so a document with many denominators stays
+    # linear-time.  Comparisons of scaled values match the unscaled ones.
+    den = wv.denominator
+
+    def scaled(value):
+        if den % value.denominator:
+            return value * den
+        return value.numerator * (den // value.denominator)
+
+    # One bit per positive set potential; mask[v] holds the bits of the sets
+    # containing v, so the sets enclosing arc (t, h) are mask[t] & mask[h].
+    # The enclosed sum is memoised per mask value: a laminar family has at
+    # most |p_sets| + 1 of them, and any other family goes the same way.
     positive_sets = [(members, pot) for members, pot in certificate.p_sets if pot > 0]
-    for a in graph.arc_ids:
-        tail, head = graph.endpoints(a)
-        lhs = p_vertex[head] + certificate.q.get(a, Fraction(0))
-        for members, pot in positive_sets:
-            if tail in members and head in members:
-                lhs += pot
-        w = wv[a]
+    bit_potentials = [scaled(pot) for _, pot in positive_sets]
+    mask = dict.fromkeys(graph.vertices, 0)
+    for i, (members, _) in enumerate(positive_sets):
+        bit = 1 << i
+        for v in members:
+            mask[v] |= bit
+
+    def bits(m: int):
+        """The bit indices of m in ascending order, as '0'/'1' characters."""
+        return bin(m)[:1:-1]
+
+    enclosed_sum = {0: 0}
+    p_scaled = {v: scaled(p) for v, p in p_vertex.items()}
+    q_scaled = {a: scaled(value) for a, value in certificate.q.items()}
+    nums = wv.numerators
+    for a, tail, head in graph.arcs():
+        m = mask[tail] & mask[head]
+        inside = enclosed_sum.get(m)
+        if inside is None:
+            inside = enclosed_sum[m] = sum(
+                pot for pot, bit in zip(bit_potentials, bits(m)) if bit == "1"
+            )
+        q = q_scaled.get(a, 0)
+        lhs = p_scaled[head] + q + inside
+        w = nums[a]
         if lhs < w:
             return CertificateCheck(False, f"dual-constraint-violated:arc={a}")
         if a in subset and lhs != w:
             return CertificateCheck(False, f"selected-arc-slack:arc={a}")
-        if certificate.q.get(a, Fraction(0)) > 0 and a not in subset:
+        if q > 0 and a not in subset:
             return CertificateCheck(False, f"q-support-outside-solution:arc={a}")
 
     for v in graph.vertices:
-        if p_vertex[v] > 0 and profile[v] != capacities[v]:
+        if p_scaled[v] > 0 and profile[v] != capacities[v]:
             return CertificateCheck(False, f"vertex-potential-unsaturated:v={v}")
-    for members, pot in positive_sets:
-        count = sum(
-            1 for a in subset if graph.tail(a) in members and graph.head(a) in members
-        )
+    inside_counts = [0] * len(positive_sets)
+    for m, count in Counter(mask[graph.tail(a)] & mask[graph.head(a)] for a in subset).items():
+        for i, bit in enumerate(bits(m)):
+            if bit == "1":
+                inside_counts[i] += count
+    for (members, _), count in zip(positive_sets, inside_counts):
         if count != capacities.total(members) - 1:
             return CertificateCheck(False, "set-potential-not-tight")
 
+    objective = scaled(certificate.objective)
     recomputed = (
-        sum(capacities[v] * p_vertex[v] for v in graph.vertices)
-        + sum((capacities.total(members) - 1) * pot for members, pot in certificate.p_sets)
-        + sum(certificate.q.values())
+        sum(capacities[v] * p_scaled[v] for v in graph.vertices)
+        + sum((capacities.total(members) - 1) * scaled(pot) for members, pot in certificate.p_sets)
+        + sum(q_scaled.values())
     )
-    if recomputed != certificate.objective:
+    if recomputed != objective:
         return CertificateCheck(False, "objective-mismatch")
-    if wv.value(subset) != certificate.objective:
+    if sum(nums[a] for a in subset) != objective:
         return CertificateCheck(False, "duality-gap")
     return CertificateCheck(True)

@@ -244,6 +244,21 @@ def test_malformed_inputs(tmp_path, capsys):
     )
     assert code == 1 and "$.matroids[1].blocks[0]" in err
 
+    # Exponent forms would make Fraction build 10**999999999.
+    doc = dict(TWO_CYCLE, w=["1e999999999", 2])
+    code, _, err = invoke(["max-weight", "--input", write(tmp_path, doc, "exp.json")], capsys)
+    assert code == 1 and "$.w[0]" in err and "exponent" in err
+
+    doc = dict(TWO_CYCLE, solution=[0])
+    doc["certificate"] = {"p_vertex": [0, 1], "p_sets": [], "q": [0, "2E999999999"], "objective": 3}
+    code, _, err = invoke(["verify", "--input", write(tmp_path, doc, "qexp.json")], capsys)
+    assert code == 1 and "$.certificate.q[1]" in err and "exponent" in err
+
+    for bad in ("1_000", " 1/2", ".5", "3.", "1/0", "0x10"):
+        doc = dict(TWO_CYCLE, w=[bad, 2])
+        code, _, err = invoke(["max-weight", "--input", write(tmp_path, doc, "w.json")], capsys)
+        assert code == 1 and "$.w[0]" in err, bad
+
 
 def test_capacities_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):
     def refuse(n, pairs):

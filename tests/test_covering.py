@@ -11,6 +11,7 @@ from bbranching import (
     check_cover_conditions,
     cover_by_b_branchings,
     enumerate_b_branchings,
+    find_disjoint_b_branchings,
     integer_decompose,
     is_b_branching,
 )
@@ -86,6 +87,44 @@ def test_cover_partitions_random_instances():
         assert sum(len(p.arcs) for p in parts) == g.arc_count
         built += 1
     assert built > 25
+
+
+@pytest.mark.parametrize(
+    "pairs, caps",
+    [([(0, 1)], [1, 1]), ([], [1, 2]), ([(0, 1), (1, 0), (0, 2), (2, 2)], [1, 1, 2])],
+)
+def test_cover_packing_size_does_not_grow_with_k(monkeypatch, pairs, caps):
+    g = Digraph.from_pairs(len(caps), pairs)
+    b = CapacityVector(caps)
+    built = []
+
+    def counting(instance, backend=None):
+        built.append(len(instance.demands))
+        return find_disjoint_b_branchings(instance, backend)
+
+    monkeypatch.setattr("bbranching.covering.find_disjoint_b_branchings", counting)
+    parts = cover_by_b_branchings(g, b, 1000)
+    assert built and all(count <= max(1, g.arc_count) for count in built)
+    assert len(parts) == 1000
+    seen = Counter()
+    for part in parts:
+        assert is_b_branching(g, b, part.arcs)
+        seen.update(part.arcs)
+    assert set(seen) == set(g.arc_ids) and all(c == 1 for c in seen.values())
+
+
+def test_cover_parts_unchanged_up_to_the_arc_count():
+    # k <= |A| builds the packing with k parts, so these are the parts the
+    # uncapped construction gives; beyond |A| the padding comes last.
+    g = Digraph.from_pairs(3, [(0, 1), (1, 0), (0, 2), (2, 1)])
+    b = CapacityVector([1, 1, 1])
+    for k, expected in (
+        (2, [[0, 2], [1, 3]]),
+        (3, [[0], [2, 3], [1]]),
+        (4, [[0], [2, 3], [], [1]]),
+        (6, [[0], [2, 3], [], [1], [], []]),
+    ):
+        assert [sorted(p.arcs) for p in cover_by_b_branchings(g, b, k)] == expected
 
 
 def test_decompose_zero_vector():

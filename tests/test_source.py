@@ -18,3 +18,27 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, f"assert statements in the library: {found}"
+
+
+def _inexact_arithmetic(node):
+    """Why `node` is float arithmetic, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"float literal {node.value!r}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id in ("float", "round"):
+            return f"{node.func.id}() call"
+    return None
+
+
+def test_library_arithmetic_is_exact():
+    # Answers are integers or Fractions only: no float literal, no `/` or
+    # `/=` (use `//` or Fraction), no float() or round().
+    found = [
+        f"{path.name}:{node.lineno}: {reason}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (reason := _inexact_arithmetic(node))
+    ]
+    assert SOURCES and not found, f"inexact arithmetic in the library: {found}"

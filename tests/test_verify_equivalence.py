@@ -1,0 +1,174 @@
+"""`verify_certificate` against the per-arc `Fraction` oracle `reference_verify`.
+
+Both must return the same `(ok, reason)` on every certificate: the solver's
+own, each with one value changed, and hand-built ones with crossing set
+families or denominators that do not divide the weight denominator.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+from bbranching import CapacityVector, Digraph, DualCertificate, max_weight_b_branching, verify_certificate
+
+from helpers import random_capacities, random_digraph, reference_verify
+
+DELTAS = (1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 7))
+MUTATIONS = ("p_vertex", "p_set", "new_set", "q", "objective", "arc")
+
+
+def assert_same_verdict(graph, caps, weights, arcs, certificate):
+    fast = verify_certificate(graph, caps, weights, arcs, certificate)
+    slow = reference_verify(graph, caps, weights, arcs, certificate)
+    assert (fast.ok, fast.reason) == (slow.ok, slow.reason)
+    return fast
+
+
+def mutate(rng, graph, arcs, certificate, kind):
+    """The solution and the certificate with exactly one thing changed."""
+    delta = rng.choice(DELTAS)
+    if kind == "arc" and graph.arc_count:
+        return arcs ^ {rng.choice(graph.arc_ids)}, certificate
+    if kind == "p_vertex":
+        v = rng.choice(graph.vertices)
+        p_vertex = dict(certificate.p_vertex)
+        p_vertex[v] += delta
+        return arcs, replace(certificate, p_vertex=p_vertex)
+    if kind == "p_set" and certificate.p_sets:
+        p_sets = list(certificate.p_sets)
+        i = rng.randrange(len(p_sets))
+        p_sets[i] = (p_sets[i][0], p_sets[i][1] + delta)
+        return arcs, replace(certificate, p_sets=tuple(p_sets))
+    if kind in ("p_set", "new_set"):
+        members = frozenset(v for v in graph.vertices if rng.random() < 0.5)
+        new = (members or frozenset(graph.vertices[:1]), abs(delta))
+        return arcs, replace(certificate, p_sets=certificate.p_sets + (new,))
+    if kind == "q" and graph.arc_count:
+        a = rng.choice(graph.arc_ids)
+        q = dict(certificate.q)
+        q[a] = q.get(a, Fraction(0)) + delta
+        return arcs, replace(certificate, q=q)
+    return arcs, replace(certificate, objective=certificate.objective + delta)
+
+
+def random_weights_mixed(rng, graph):
+    if rng.random() < 0.5:
+        return [rng.randint(-3, 12) for _ in graph.arc_ids]
+    return [Fraction(rng.randint(-6, 24), rng.choice((1, 2, 3, 6))) for _ in graph.arc_ids]
+
+
+def test_tampered_certificates_match_reference():
+    rng = random.Random(0x5E1)
+    reasons = set()
+    for _ in range(600):
+        graph = random_digraph(rng, 7, 14, loop_rate=0.1)
+        caps = random_capacities(rng, graph, 3)
+        weights = random_weights_mixed(rng, graph)
+        solution, certificate = max_weight_b_branching(graph, caps, weights)
+        assert assert_same_verdict(graph, caps, weights, solution.arcs, certificate)
+        for kind in MUTATIONS:
+            arcs, tampered = mutate(rng, graph, solution.arcs, certificate, kind)
+            check = assert_same_verdict(graph, caps, weights, arcs, tampered)
+            reasons.add((check.reason or "ok").split(":")[0])
+    # The mutations reach every dual-side check, not only the first one.
+    assert {
+        "ok",
+        "primal-indegree-violated",
+        "vertex-potential-negative",
+        "set-potential-negative",
+        "arc-potential-negative",
+        "dual-constraint-violated",
+        "selected-arc-slack",
+        "q-support-outside-solution",
+        "vertex-potential-unsaturated",
+        "set-potential-not-tight",
+        "objective-mismatch",
+    } <= reasons
+
+
+def test_crossing_set_family():
+    # Path 0 -> 1 -> 2 with unit caps: {0, 1} and {1, 2} cross, yet both are
+    # tight for the solution {0, 1}, so the certificate is valid.
+    graph = Digraph.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+    caps = CapacityVector([1, 1, 1])
+    weights = [3, 3, 0]
+    certificate = DualCertificate(
+        p_vertex={0: Fraction(0), 1: Fraction(0), 2: Fraction(0)},
+        p_sets=((frozenset({0, 1}), Fraction(3)), (frozenset({1, 2}), Fraction(3))),
+        q={},
+        objective=Fraction(6),
+    )
+    assert assert_same_verdict(graph, caps, weights, {0, 1}, certificate)
+
+    # A heavy arc 2 -> 1 lies inside {1, 2} only, so it is short by 3.
+    heavy = Digraph.from_pairs(3, [(0, 1), (1, 2), (2, 0), (2, 1)])
+    check = assert_same_verdict(heavy, caps, weights + [6], {0, 1}, certificate)
+    assert check.reason == "dual-constraint-violated:arc=3"
+
+    rng = random.Random(7)
+    for _ in range(200):
+        kind = rng.choice(MUTATIONS)
+        arcs, tampered = mutate(rng, graph, frozenset({0, 1}), certificate, kind)
+        assert_same_verdict(graph, caps, weights, arcs, tampered)
+
+
+def test_denominators_that_do_not_divide_the_weight_denominator():
+    # Integral weights, thirds in the certificate: scaling by the weight
+    # denominator 1 leaves Fractions, which must still compare exactly.
+    graph = Digraph.from_pairs(2, [(0, 1), (1, 0)])
+    caps = CapacityVector([1, 1])
+    certificate = DualCertificate(
+        p_vertex={0: Fraction(0), 1: Fraction(1, 3)},
+        p_sets=((frozenset({0, 1}), Fraction(8, 3)),),
+        q={},
+        objective=Fraction(3),
+    )
+    assert assert_same_verdict(graph, caps, [3, 2], {0}, certificate)
+    # 1/3 + 5/3 = 2 falls short of the weight 3 of arc 0.
+    short = replace(certificate, p_sets=((frozenset({0, 1}), Fraction(5, 3)),))
+    assert assert_same_verdict(graph, caps, [3, 2], {0}, short).reason == (
+        "dual-constraint-violated:arc=0"
+    )
+
+    # Halves in the weights, sevenths and thirds in the certificate.
+    weights = [Fraction(7, 2), Fraction(1, 2)]
+    sevenths = DualCertificate(
+        p_vertex={0: Fraction(0), 1: Fraction(1, 7)},
+        p_sets=((frozenset({0, 1}), Fraction(7, 2) - Fraction(1, 7)),),
+        q={},
+        objective=Fraction(7, 2),
+    )
+    assert assert_same_verdict(graph, caps, weights, {0}, sevenths)
+    for objective in (Fraction(7, 2) + Fraction(1, 3), Fraction(10, 3)):
+        assert_same_verdict(graph, caps, weights, {0}, replace(sevenths, objective=objective))
+
+    rng = random.Random(11)
+    for _ in range(200):
+        kind = rng.choice(MUTATIONS)
+        arcs, tampered = mutate(rng, graph, frozenset({0}), sevenths, kind)
+        assert_same_verdict(graph, caps, weights, arcs, tampered)
+
+
+def nested_chain(n: int = 200, noise: int = 400, seed: int = 0xC4):
+    """Unit caps; every phase contracts one 2-cycle {blob, j}, so the
+    certificate holds n - 1 nested sets."""
+    rng = random.Random(seed)
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(k, 0) for k in range(1, n)]
+    weights = [10**6] * (n - 1) + [2000 + 10 * (n - k) for k in range(1, n)]
+    for _ in range(noise):
+        pairs.append((rng.randrange(n), rng.randrange(n)))
+        weights.append(rng.randint(0, 1000))
+    return Digraph.from_pairs(n, pairs), CapacityVector([1] * n), weights
+
+
+def test_nested_chain_matches_reference():
+    graph, caps, weights = nested_chain()
+    solution, certificate = max_weight_b_branching(graph, caps, weights)
+    sizes = sorted(len(members) for members, _ in certificate.p_sets)
+    assert sizes == list(range(2, graph.vertex_count + 1))
+    assert assert_same_verdict(graph, caps, weights, solution.arcs, certificate)
+
+    rng = random.Random(0xC4)
+    for kind in MUTATIONS:
+        arcs, tampered = mutate(rng, graph, solution.arcs, certificate, kind)
+        assert_same_verdict(graph, caps, weights, arcs, tampered)
