@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,14 @@ from typing import Any, Sequence
 
 from .covering import DecompositionError, check_cover_conditions, cover_by_b_branchings, integer_decompose
 from .digraph import Digraph
-from .greedy import DualCertificate, WeightVector, max_weight_b_branching, verify_certificate
+from .greedy import (
+    DualCertificate,
+    WeightError,
+    WeightVector,
+    max_weight_b_branching,
+    parse_rational,
+    verify_certificate,
+)
 from .matroids import CapacityError, CapacityVector, DemandVector, partition_oracle, uniform_oracle
 from .mrgreedy import MatroidAssignment, mr_max_weight_b_branching
 from .oracle import brute_exists_packing, brute_max_weight, brute_max_weight_restricted
@@ -62,25 +68,16 @@ def _format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# An optional sign, decimal digits, then optionally "/digits" or ".digits".
-# No exponent: Fraction("1e999999999") alone would build 10**999999999.
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
-
-
 def _parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise _fail(path, "booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value.lower():
-            raise _fail(path, f"exponent forms are not accepted: {value!r}")
-        if not _RATIONAL.fullmatch(value):
-            raise _fail(path, f"cannot parse rational {value!r}")
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise _fail(path, f"cannot parse rational {value!r}") from None
+            return Fraction(*parse_rational(value))
+        except WeightError as exc:
+            raise _fail(path, str(exc)) from None
     raise _fail(path, f"expected an integer or 'num/den' string, got {value!r}")
 
 

@@ -1,11 +1,10 @@
 """Multi-phase greedy solver for maximum-weight degree-capped branchings.
 
-Each phase picks, per vertex, the heaviest entering arcs within capacity.
-Strong components whose induced selection saturates the capacity sum are
-contracted (weights of reattached arcs get an exchange adjustment), and the
-phases repeat on the shrunken graph.  Unwinding the contractions yields an
-optimal solution; replaying the contraction history also yields an exact
-dual certificate, integral whenever the input weights are integral.
+The phase engine (phases.py) contracts tight components until none is
+left and unwinds the contractions into an optimal solution.  Replaying its
+contraction history yields an exact dual certificate, integral whenever
+the input weights are integral, and `verify_certificate` checks any
+(solution, certificate) pair on its own.
 
 All arithmetic is exact: weights are normalized to integer numerators over
 one common denominator, so certificate checks never see floating point.
@@ -14,19 +13,16 @@ one common denominator, so certificate checks never see floating point.
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .digraph import ContractionRecord, Digraph, contract
-from .matroids import (
-    BBranching,
-    CapacityVector,
-    fundamental_circuit,
-    indegree_profile,
-    saturated_components,
-)
+from .digraph import Digraph
+from .matroids import BBranching, CapacityVector, indegree_profile, saturated_components
+from .phases import ContractionStep, _run_phases, _select_at
 
 
 class WeightError(ValueError):
@@ -34,6 +30,41 @@ class WeightError(ValueError):
 
 
 RationalLike = Union[int, str, Fraction]
+
+# The rational grammar of the library and the CLI: an optional sign, ASCII
+# digits, then optionally "/digits" or ".digits".  There are no exponents,
+# so a short string cannot stand for a huge integer.
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def parse_rational(text: str) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational string, unreduced.
+
+    Raises WeightError for anything outside the grammar (exponent forms,
+    spaces, underscores, a bare point, more digits than `int` converts) and
+    for a zero denominator.
+    """
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        if "e" in text.lower():
+            raise WeightError(f"exponent forms are not accepted: {text!r}")
+        raise WeightError(f"cannot parse rational {text!r}")
+    sign, whole, over, point = match.groups()
+    try:
+        num = int(whole)
+        if over is not None:
+            den = int(over)
+        elif point is not None:
+            fraction = int(point)
+            den = 10 ** len(point)
+            num = num * den + fraction
+        else:
+            den = 1
+    except ValueError:
+        raise WeightError(f"cannot parse rational {text!r}") from None
+    if not den:
+        raise WeightError(f"cannot parse rational {text!r}")
+    return (-num if sign == "-" else num), den
 
 
 @dataclass(frozen=True)
@@ -48,16 +79,15 @@ class WeightVector:
             raise WeightError("denominator must be positive")
 
     @staticmethod
-    def _parse(value: RationalLike) -> Fraction:
+    def _parse(value: RationalLike) -> tuple[int, int]:
         if isinstance(value, bool):
             raise WeightError(f"not a rational weight: {value!r}")
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
+        if isinstance(value, int):
+            return int(value), 1
+        if isinstance(value, Fraction):
+            return value.numerator, value.denominator
         if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise WeightError(f"cannot parse rational {value!r}") from exc
+            return parse_rational(value)
         raise WeightError(f"not an exact rational: {value!r} (floats are rejected)")
 
     @classmethod
@@ -65,17 +95,16 @@ class WeightVector:
         values = list(values)
         if all(type(v) is int for v in values):
             return cls(tuple(values), 1)
-        fracs = [cls._parse(v) for v in values]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        nums = [f.numerator * (den // f.denominator) for f in fracs]
-        shrink = den
-        for n in nums:
-            shrink = math.gcd(shrink, n)
-            if shrink == 1:
-                break
-        return cls(tuple(n // shrink for n in nums), den // shrink)
+        # One lcm over the (unreduced) denominators, then one gcd to reduce:
+        # the result is the same as reducing every value first.
+        pairs = [parse_rational(v) if type(v) is str else cls._parse(v) for v in values]
+        den = math.lcm(*(d for _, d in pairs))
+        nums = [n * (den // d) for n, d in pairs]
+        shrink = math.gcd(den, *nums)
+        if shrink > 1:
+            nums = [n // shrink for n in nums]
+            den //= shrink
+        return cls(tuple(nums), den)
 
     @classmethod
     def coerce(
@@ -99,19 +128,6 @@ class WeightVector:
     def value(self, arcs: Iterable[int]) -> Fraction:
         return Fraction(sum(self.numerators[a] for a in arcs), self.denominator)
 
-
-class OracleInconsistencyError(RuntimeError):
-    """An attached oracle answered in a way no matroid can."""
-
-
-@dataclass(frozen=True)
-class ContractionStep:
-    """One contraction, the replacement arc chosen for each reattached arc, and
-    the working weight of `record.cheapest_internal` when it was contracted."""
-
-    record: ContractionRecord
-    replacement: Mapping[int, int]
-    anchor_weight: int
 
 
 @dataclass(frozen=True)
@@ -151,127 +167,6 @@ class CertificateCheck:
 
 
 # ---------------------------------------------------------------------------
-# Phase engine (shared with the matroid-restricted variant)
-#
-# `oracles` maps a vertex to its matroid over the entering arcs.  A vertex
-# without one (every vertex of the plain problem, every contracted vertex)
-# follows the capacity rule, i.e. a rank-caps[v] uniform matroid.
-
-
-def _select_heaviest(
-    graph: Digraph, caps: Mapping[int, int], wnum: Mapping[int, int], oracles: Mapping
-) -> frozenset:
-    """Per vertex, the matroid greedy over the positive entering arcs."""
-    chosen: list[int] = []
-    for v in graph.vertices:
-        cap = caps[v]
-        cand = [a for a in graph.in_arc_ids(v) if wnum[a] > 0]
-        oracle = oracles.get(v)
-        if oracle is not None or len(cand) > cap:
-            cand.sort(key=lambda a: (-wnum[a], a))
-        if oracle is None:
-            chosen.extend(cand[:cap])
-            continue
-        picked: list[int] = []
-        for a in cand:
-            if len(picked) >= cap:
-                break
-            if oracle.is_independent((*picked, a)):
-                picked.append(a)
-        chosen.extend(picked)
-    return frozenset(chosen)
-
-
-def _replacement_arcs(
-    graph: Digraph, selected: frozenset, wnum: Mapping, entering: Sequence[int], oracles: Mapping
-) -> dict:
-    """Per arc entering a tight component, the cheapest selected arc into its
-    head (capacity rule, cached per head) or the cheapest other member of its
-    fundamental circuit in the head's matroid; ties to the smaller id."""
-    alpha: dict[int, int] = {}
-    per_head: dict[int, int] = {}
-    for a in entering:
-        y = graph.head(a)
-        oracle = oracles.get(y)
-        if oracle is None and y in per_head:
-            alpha[a] = per_head[y]
-            continue
-        base = [f for f in graph.in_arc_ids(y) if f in selected]
-        if oracle is None:
-            if not base:
-                raise AssertionError(f"saturated vertex {y} has no selected entering arc")
-            alpha[a] = per_head[y] = min(base, key=lambda f: (wnum[f], f))
-            continue
-        circuit = fundamental_circuit(oracle, base, a)
-        if circuit is None:
-            raise OracleInconsistencyError(f"vertex {y} is saturated yet accepts another arc")
-        pool = circuit - {a}
-        if not pool:
-            raise OracleInconsistencyError(f"arc {a} became a matroid loop after preprocessing")
-        alpha[a] = min(pool, key=lambda f: (wnum[f], f))
-    return alpha
-
-
-def _run_phases(
-    graph: Digraph, caps: dict, wnum: dict, oracles: Mapping
-) -> tuple[frozenset, list[tuple[ContractionStep, ...]]]:
-    """Run selection/contraction phases, then expand back to original arcs.
-
-    Returns the solution and the contraction history: one tuple of steps per
-    phase, the last one empty.  `caps` and `wnum` are updated in place.
-    """
-    history: list[tuple[ContractionStep, ...]] = []
-    phase_limit = graph.vertex_count + graph.arc_count + 1
-    while True:
-        selected = _select_heaviest(graph, caps, wnum, oracles)
-        tight = saturated_components(graph, caps, selected)
-        if not tight:
-            history.append(())
-            break
-        steps: list[ContractionStep] = []
-        for component in tight:
-            current = selected & graph.arc_id_set
-            entering = [
-                a
-                for v in sorted(component)
-                for a in graph.in_arc_ids(v)
-                if graph.tail(a) not in component
-            ]
-            alpha = _replacement_arcs(graph, current, wnum, entering, oracles)
-            graph, record = contract(graph, component, current, wnum)
-            anchor = record.cheapest_internal
-            if anchor is None:
-                raise AssertionError("tight component with empty selection")
-            anchor_weight = wnum[anchor]
-            for a in record.entering:
-                wnum[a] = wnum[a] - wnum[alpha[a]] + anchor_weight
-            for a in record.dropped:
-                del wnum[a]
-            for v in component:
-                del caps[v]
-            caps[record.new_vertex] = 1
-            steps.append(ContractionStep(record, alpha, anchor_weight))
-        history.append(tuple(steps))
-        if len(history) > phase_limit:
-            raise AssertionError(
-                "phase count exceeded its bound; contraction is not making progress"
-            )
-
-    final = set(selected)
-    for steps in reversed(history):
-        for step in reversed(steps):
-            record = step.record
-            incoming = [a for a in final if a in record.entering]
-            if len(incoming) > 1:
-                raise AssertionError("more than one selected arc enters a contracted vertex")
-            if incoming:
-                final |= record.internal - {step.replacement[incoming[0]]}
-            else:
-                final |= record.internal - {record.cheapest_internal}
-    return frozenset(final), history
-
-
-# ---------------------------------------------------------------------------
 # Public operations
 
 
@@ -293,8 +188,10 @@ def max_weight_indegree_set(
     _require_dense_arcs(graph)
     caps = capacities.as_dict() if isinstance(capacities, CapacityVector) else dict(capacities)
     wv = WeightVector.coerce(weights, graph.arc_count)
-    wnum = {a: wv.numerators[a] for a in graph.arc_ids}
-    return _select_heaviest(graph, caps, wnum, {})
+    wnum = dict(enumerate(wv.numerators))
+    return frozenset(
+        a for v in graph.vertices for a in _select_at(graph.in_arc_ids(v), caps[v], wnum, None)
+    )
 
 
 def max_weight_b_branching(
@@ -306,27 +203,39 @@ def max_weight_b_branching(
 
     Negative-weight arcs are dropped up front (the feasible family is closed
     under taking subsets, so they never help); zero-weight arcs stay in the
-    working graph but are never selected.  Runs in O(|V| * |A|).
+    working graph but are never selected.  Each arc enters a heap once and
+    only ever moves into a heap that has received at least twice as many
+    arcs, so selection and merging take O(|A| log^2 |A|) over a run; each
+    phase's search for tight components walks only the selected arcs
+    behind its new vertices, at most O(|V| + |A|).  The dual replay sorts
+    each head's arc weights once, then moves each arc once between two
+    sorted lists and spends O(b(v)) per vertex of each contracted set.
     """
     capacities.check_domain(graph)
     _require_dense_arcs(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
-    nums = wv.numerators
-    kept = [(a, t, h) for a, t, h in graph.arcs() if nums[a] >= 0]
-    work = Digraph(graph.vertices, kept)
-    caps = capacities.as_dict()
-    wnum = {a: nums[a] for a, _, _ in kept}
-    final, history = _run_phases(work, caps, wnum, {})
+    wnum = {a: w for a, w in enumerate(wv.numerators) if w >= 0}
+    final, history = _run_phases(graph, capacities.as_dict(), wnum, {})
     certificate = dual_from_run(history, graph, capacities, wv)
     return BBranching.of(graph, capacities, final), certificate
 
 
-def _kth_largest(values: list, k: int) -> int:
-    """k-th largest value (1-indexed); 0 when fewer than k values exist."""
-    if len(values) < k:
+def _kth_largest(uncharged: list, charged: list, shift: int, k: int) -> int:
+    """k-th largest (1-indexed) of `uncharged` and of `charged` lowered by
+    `shift`, both sorted ascending; 0 when fewer than k values exist."""
+    i, j = len(uncharged), len(charged)
+    if i + j < k:
         return 0
-    values.sort(reverse=True)
-    return values[k - 1]
+    while True:
+        if j and (not i or charged[j - 1] - shift > uncharged[i - 1]):
+            j -= 1
+            value = charged[j] - shift
+        else:
+            i -= 1
+            value = uncharged[i]
+        k -= 1
+        if not k:
+            return value
 
 
 def dual_from_run(
@@ -337,88 +246,146 @@ def dual_from_run(
 ) -> DualCertificate:
     """Replay a completed run's contraction history into a dual certificate.
 
-    Maintains running modified weights over the original arcs: arcs surviving
-    a contraction mirror the algorithm's exchange adjustment, while every
-    contracted component, expanded back to original vertices, charges its
-    potential to all arcs it encloses.  Vertex potentials are read off the
-    final modified weights (against each arc's original head); arc slacks
-    absorb whatever remains.
+    Each contracted component, expanded back to original vertices, gets the
+    largest potential two kinds of margins allow: how far each arc entering
+    it sits below the going rate at the arc's original head (the b-th
+    largest weight there, after the charges of earlier sets), and the
+    working weight of its cheapest selected arc.  A set's potential is
+    charged to every arc it encloses.  An arc entering a component has never
+    been charged: an earlier set that holds its head lies inside the
+    component, so it misses the tail.  So at each head the uncharged arcs
+    form one list sorted once, and the charged ones another under one
+    running offset.  Vertex potentials are the final going rates; arc
+    slacks absorb the rest, each arc's charge summed once, top-down over
+    the laminar forest of the contracted sets.
     """
     wv = WeightVector.coerce(weights, graph.arc_count)
-    den = wv.denominator
-    # Original weights minus the charges of enclosing contracted sets;
-    # only arcs swallowed by a contraction ever get charged.
-    charged = list(wv.numerators)
+    den, nums = wv.denominator, wv.numerators
+    caps = capacities.as_dict()
+    steps = [step for phase in history for step in phase]
+    link = {m: step.new_vertex for step in steps for m in step.merged}
 
-    # The arcs the solver keeps: negative ones never enter its working graph.
-    pool = {
-        v: [a for a in graph.in_arc_ids(v) if wv.numerators[a] >= 0] for v in graph.vertices
-    }
-
-    expansion: dict[int, frozenset] = {}
-    enclosed: dict[int, frozenset] = {}
-    sets: list[tuple[frozenset, int, frozenset]] = []  # (vertex set, potential, arcs inside)
-
-    for steps in history:
-        for step in steps:
-            record = step.record
-            members = frozenset()
-            for u in record.merged:
-                members |= expansion.get(u, frozenset((u,)))
-            inside = set(record.dropped)
-            for u in record.merged:
-                inside |= enclosed.get(u, frozenset())
-
-            # The set potential is capped by two kinds of margins: how far
-            # each entering arc sits below the going rate at its original
-            # head, and the cheapest selected arc inside (at its working
-            # weight when contracted, which carries earlier exchange
-            # adjustments).
-            going_rate: dict[int, int] = {}
-            candidates: list[int] = []
-            for a in sorted(record.entering):
-                y = graph.head(a)  # original head: arc ids are stable
-                rate = going_rate.get(y)
-                if rate is None:
-                    rate = _kth_largest([charged[e] for e in pool[y]], capacities[y])
-                    going_rate[y] = rate
-                candidates.append(rate - charged[a])
-            candidates.append(step.anchor_weight)
-            potential = min(candidates)
-
-            if potential:
-                for e in inside:
-                    charged[e] -= potential
-            expansion[record.new_vertex] = members
-            enclosed[record.new_vertex] = frozenset(inside)
-            if potential > 0:
-                sets.append((members, potential, frozenset(inside)))
-
-    p_vertex_num: dict[int, int] = {}
+    # Per original head, the weights of the arcs the solver keeps (negative
+    # ones never enter its working graph), ascending: in `uncharged` until a
+    # set encloses the arc, then in `charged` as weight plus the head's
+    # running charge `total` at that moment, so that its charged weight is
+    # the entry minus the current `total`.  A going rate reads at most the
+    # top b(v) entries of each list, so `charged` keeps only those.
+    uncharged: dict[int, list[int]] = {}
+    charged: dict[int, list[int]] = {}
+    total = dict.fromkeys(graph.vertices, 0)
+    # The kept arcs between contracted vertices, as (arc, tail, head) at
+    # both ends; a contraction finds the arcs it encloses by scanning every
+    # member's list but the longest, which the new vertex inherits.
+    touching: dict[int, list] = {v: [] for v in graph.vertices if v in link}
+    loops: dict[int, list] = {}
     for v in graph.vertices:
-        ranked = [charged[e] for e in pool[v]]
-        p_vertex_num[v] = max(0, _kth_largest(ranked, capacities[v]))
+        kept = [a for a in graph.in_arc_ids(v) if nums[a] >= 0]
+        uncharged[v] = sorted([nums[a] for a in kept])
+        charged[v] = []
+        if v in touching:
+            for a in kept:
+                t = graph.tail(a)
+                if t == v:
+                    loops.setdefault(v, []).append((a, v, v))
+                elif t in touching:
+                    arc = (a, t, v)
+                    touching[t].append(arc)
+                    touching[v].append(arc)
 
-    charge: dict[int, int] = {}
-    for _, potential, inside in sets:
-        for e in inside:
-            charge[e] = charge.get(e, 0) + potential
+    owner = {v: v for v in touching}
+    expansion: dict[int, list[int]] = {}
+    enclosed_by: dict[int, int] = {}  # arc -> the contraction that enclosed it
+    positive: dict[int, int] = {}
+    sets: list[tuple[frozenset, int]] = []
 
+    for step in steps:
+        z = step.new_vertex
+        inside: list[int] = []
+        enclosed: list[tuple[int, int, int]] = []
+        lists = []
+        for m in step.merged:
+            if m in expansion:
+                inside.extend(expansion.pop(m))
+            else:
+                inside.append(m)
+                enclosed.extend(loops.get(m, ()))
+            lists.append(touching.pop(m))
+        for v in inside:
+            owner[v] = z
+        # Going rates at the heads inside, before this set charges anything.
+        rates = {
+            y: _kth_largest(uncharged[y], charged[y], total[y], caps[y])
+            for y in inside
+            if uncharged[y]
+        }
+        lists.sort(key=len)
+        touching[z] = inherited = lists.pop()
+        for arcs in lists:
+            for arc in arcs:
+                if owner[arc[1]] != z or owner[arc[2]] != z:
+                    inherited.append(arc)
+                elif arc[0] not in enclosed_by:
+                    enclosed_by[arc[0]] = z
+                    enclosed.append(arc)
+        for a, _, h in enclosed:
+            enclosed_by[a] = z
+            w = nums[a]
+            free = uncharged[h]
+            del free[bisect_left(free, w)]
+            top = charged[h]
+            key = w + total[h]
+            if len(top) < caps[h]:
+                insort(top, key)
+            elif key > top[0]:
+                del top[0]
+                insort(top, key)
+
+        # Entering arcs are uncharged, so the tightest margin at a head is
+        # against its heaviest arc still uncharged.
+        candidates = [step.anchor_weight]
+        for y, rate in rates.items():
+            free = uncharged[y]
+            if free:
+                candidates.append(rate - free[-1])
+        potential = min(candidates)
+        if potential:
+            for y in inside:
+                total[y] += potential
+        if potential > 0:
+            sets.append((frozenset(inside), potential))
+        positive[z] = max(potential, 0)
+        expansion[z] = inside
+
+    # An arc's charge is the sum of the positive potentials of the sets
+    # enclosing it: the set that enclosed it first and every set above.
+    above: dict[int, int] = {}
+    for step in reversed(steps):
+        z = step.new_vertex
+        above[z] = positive[z] + above.get(link.get(z), 0)
+
+    p_vertex_num = {
+        v: max(0, _kth_largest(uncharged[v], charged[v], total[v], caps[v]))
+        for v in graph.vertices
+    }
     q_num: dict[int, int] = {}
-    for a in graph.arc_ids:
-        slack = wv.numerators[a] - p_vertex_num[graph.head(a)] - charge.get(a, 0)
-        if slack > 0:
-            q_num[a] = slack
+    for v in graph.vertices:
+        p = p_vertex_num[v]
+        for a in graph.in_arc_ids(v):
+            slack = nums[a] - p
+            if slack > 0 and a in enclosed_by:
+                slack -= above[enclosed_by[a]]
+            if slack > 0:
+                q_num[a] = slack
 
     objective_num = (
-        sum(capacities[v] * p_vertex_num[v] for v in graph.vertices)
-        + sum((capacities.total(members) - 1) * pot for members, pot, _ in sets)
+        sum(caps[v] * p_vertex_num[v] for v in graph.vertices)
+        + sum((capacities.total(members) - 1) * pot for members, pot in sets)
         + sum(q_num.values())
     )
-
     p_sets = tuple(
         (members, Fraction(pot, den))
-        for members, pot, _ in sorted(
+        for members, pot in sorted(
             sets, key=lambda item: (min(item[0]), len(item[0]), sorted(item[0]))
         )
     )

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .digraph import Digraph
-from .greedy import OracleInconsistencyError, RationalLike, WeightVector, _run_phases
+from .greedy import RationalLike, WeightVector
 from .matroids import (
     CapacityVector,
     IndegreeDependenceError,
     MatroidOracle,
     sparsity_violating_components,
 )
+from .phases import OracleInconsistencyError, _run_phases
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,10 @@ def mr_max_weight_b_branching(
     nums = wv.numerators
     oracles = dict(assignment.oracles)
 
-    kept = [
-        (a, t, h)
-        for a, t, h in graph.arcs()
-        if nums[a] >= 0 and oracles[h].is_independent((a,))
-    ]
-    work = Digraph(graph.vertices, kept)
-    caps = capacities.as_dict()
-    wnum = {a: nums[a] for a, _, _ in kept}
-
-    final, _ = _run_phases(work, caps, wnum, oracles)
+    wnum = {
+        a: nums[a] for a, _, h in graph.arcs() if nums[a] >= 0 and oracles[h].is_independent((a,))
+    }
+    final, _ = _run_phases(graph, capacities.as_dict(), wnum, oracles)
 
     for v in graph.vertices:
         mine = [a for a in graph.in_arc_ids(v) if a in final]

@@ -1,0 +1,296 @@
+"""The selection/contraction phase engine behind both greedy solvers.
+
+Each phase picks, per vertex, the heaviest entering arcs within capacity.
+Strong components whose induced selection saturates the capacity sum are
+contracted into one vertex of capacity one, the arcs entering it get an
+exchange adjustment, and the phases repeat.  Unwinding the contractions
+yields the solution; the contraction history feeds the dual replay.
+
+The engine is incremental, after Tarjan's efficient form of Edmonds'
+branching algorithm.  A contraction changes only the arcs entering the new
+vertex, so every other vertex keeps its selection and the new vertex alone
+is reselected; a tight component of a later phase must pass through a new
+vertex, so only the selected arcs behind the new vertices are searched.
+Contracted vertices are union-find classes whose entering arcs sit in heaps
+merged smaller into larger, with each member's exchange adjustment applied
+as one offset.  No graph is rebuilt.
+"""
+
+from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
+
+from .digraph import Digraph
+from .matroids import fundamental_circuit, saturated_components
+
+
+class OracleInconsistencyError(RuntimeError):
+    """An attached oracle answered in a way no matroid can."""
+
+
+class ContractionStep(NamedTuple):
+    """One contraction, as much of it as unwinding and the dual replay read.
+
+    `merged` holds the contracted vertices (their ids at the time, sorted)
+    and `new_vertex` the fresh capacity-one vertex that replaced them;
+    `internal` holds the selected arcs among them, `cheapest_internal` the
+    lightest of those (ties to the smaller id) and `anchor_weight` its
+    working weight.  `replacement` maps each member to the arc that leaves
+    the solution when the arc kept into the new vertex enters through that
+    member: the member's cheapest selected arc under the capacity rule, or,
+    for a member with a matroid oracle, a map from each arc entering it to
+    the cheapest other arc of that arc's fundamental circuit.
+    """
+
+    merged: tuple[int, ...]
+    new_vertex: int
+    internal: frozenset
+    cheapest_internal: int
+    anchor_weight: int
+    replacement: Mapping[int, Union[int, Mapping[int, int]]]
+
+
+# `oracles` maps a vertex to its matroid over the entering arcs.  A vertex
+# without one (every vertex of the plain problem, every contracted vertex)
+# follows the capacity rule, i.e. a rank-caps[v] uniform matroid.
+
+
+def _select_at(arcs: Iterable[int], cap: int, wnum: Mapping[int, int], oracle) -> list[int]:
+    """The matroid greedy over the positive arcs entering one vertex:
+    heaviest first, ties to the smaller id, each kept while independent."""
+    cand = [a for a in arcs if wnum.get(a, 0) > 0]
+    if oracle is not None or len(cand) > cap:
+        cand.sort(key=lambda a: (-wnum[a], a))
+    if oracle is None:
+        return cand[:cap]
+    picked: list[int] = []
+    for a in cand:
+        if len(picked) >= cap:
+            break
+        if oracle.is_independent((*picked, a)):
+            picked.append(a)
+    return picked
+
+
+def _run_phases(
+    graph: Digraph, caps: Mapping[int, int], wnum: Mapping[int, int], oracles: Mapping
+) -> tuple[frozenset, list[tuple[ContractionStep, ...]]]:
+    """Run selection/contraction phases, then expand back to original arcs.
+
+    The working graph is `graph` restricted to the arcs that `wnum` weighs.
+    Returns the solution and the contraction history: one tuple of steps per
+    phase, the last one empty.  `caps` and `wnum` are only read.
+    """
+    tail, head = graph.tail, graph.head
+    link: dict[int, int] = {}  # contracted vertex -> the vertex it became part of
+    root: dict[int, int] = {}  # the same links, path-compressed by find()
+
+    def find(v: int) -> int:
+        top = v
+        while top in root:
+            top = root[top]
+        while v != top:
+            root[v], v = top, root[v]
+        return top
+
+    selected_at: dict[int, list[int]] = {}  # current vertex -> its selected arcs
+    weight_of: dict[int, int] = {}  # selected arc -> working weight when selected
+    # Per contracted vertex: a heap of (offset - working weight, arc) over
+    # the arcs entering it, that offset, and how many arcs the heap has
+    # received in all.  Arcs whose tail the vertex has since absorbed are
+    # skipped when they surface.
+    pools: dict[int, tuple[list, int, int]] = {}
+    dead: set[int] = set()  # reachable from an unsaturated vertex, so never tight
+
+    def saturated(v: int) -> bool:
+        return len(selected_at[v]) == (1 if v in pools else caps[v])
+
+    def merge(members: list[int], z: int) -> ContractionStep:
+        internal = [a for y in members for a in selected_at[y]]
+        if not internal:
+            raise AssertionError("tight component with empty selection")
+        cheapest = min(internal, key=lambda a: (weight_of[a], a))
+        anchor = weight_of[cheapest]
+        # Exchange adjustment of the arcs entering through each member:
+        # one constant per member under the capacity rule.
+        replacement: dict[int, Union[int, dict[int, int]]] = {}
+        shift: dict[int, int] = {}
+        for y in members:
+            if oracles.get(y) is None:
+                if not selected_at[y]:
+                    raise AssertionError(f"saturated vertex {y} has no selected entering arc")
+                alpha = min(selected_at[y], key=lambda a: (weight_of[a], a))
+                replacement[y] = alpha
+                shift[y] = anchor - weight_of[alpha]
+        for y in members:
+            root[y] = link[y] = z
+
+        # The member heap that has received the most arcs becomes the new
+        # vertex's heap in place and every other entering arc moves into
+        # it, so a moved arc lands in a heap that has received at least
+        # twice as many arcs as the one it left.
+        base = max((y for y in members if y in pools), key=lambda y: pools[y][2], default=None)
+        if base is None:
+            heap, off, size = [], 0, 0
+        else:
+            heap, off, size = pools.pop(base)
+            off += shift[base]
+        added: list[tuple[int, int]] = []
+        for y in members:
+            if y == base:
+                continue
+            if y in pools:
+                entries, y_off, _ = pools.pop(y)
+                move = y_off + shift[y] - off
+                added.extend((key - move, a) for key, a in entries)
+            elif oracles.get(y) is None:
+                move = shift[y] - off
+                added.extend(
+                    (-wnum[a] - move, a)
+                    for a in graph.in_arc_ids(y)
+                    if a in wnum and find(tail(a)) != z
+                )
+            else:
+                # A matroid member: each arc has its own fundamental circuit,
+                # so each gets an explicit adjusted weight.
+                oracle, chosen = oracles[y], selected_at[y]
+                circuit_rule: dict[int, int] = {}
+                for a in graph.in_arc_ids(y):
+                    if a not in wnum or find(tail(a)) == z:
+                        continue
+                    circuit = fundamental_circuit(oracle, chosen, a)
+                    if circuit is None:
+                        raise OracleInconsistencyError(
+                            f"vertex {y} is saturated yet accepts another arc"
+                        )
+                    pool = circuit - {a}
+                    if not pool:
+                        raise OracleInconsistencyError(
+                            f"arc {a} became a matroid loop after preprocessing"
+                        )
+                    alpha = circuit_rule[a] = min(pool, key=lambda f: (weight_of[f], f))
+                    added.append((off - (wnum[a] - weight_of[alpha] + anchor), a))
+                replacement[y] = circuit_rule
+        if len(added) > len(heap):
+            heap += added
+            heapify(heap)
+        else:
+            for item in added:
+                heappush(heap, item)
+        pools[z] = (heap, off, size + len(added))
+        for y in members:
+            del selected_at[y]
+        return ContractionStep(tuple(members), z, frozenset(internal), cheapest, anchor, replacement)
+
+    def reselect(z: int) -> None:
+        """The capacity-one choice at a new vertex: its heaviest positive arc."""
+        heap, off, _ = pools[z]
+        while heap and find(tail(heap[0][1])) == z:
+            heappop(heap)
+        selected_at[z] = []
+        if heap and off - heap[0][0] > 0:
+            key, a = heap[0]
+            selected_at[z].append(a)
+            weight_of[a] = off - key
+
+    def tight_through(fresh: list[int]) -> list[frozenset]:
+        """Tight components containing a new vertex; a later phase has no
+        others.  A tight component holding z is exactly the set of vertices
+        behind z (selected arcs admit nothing from outside it), so walk the
+        selected arcs backwards, give up at an unsaturated or dead vertex,
+        and check that z reaches everything it found."""
+        found: list[frozenset] = []
+        claimed: set[int] = set()
+        for z in fresh:
+            if z in claimed:
+                continue
+            behind: dict[int, Optional[int]] = {z: None}  # vertex -> found from
+            ahead: dict[int, list[int]] = {}
+            stack = [z]
+            blocked = None
+            while stack:
+                u = stack.pop()
+                if u in dead or not saturated(u):
+                    blocked = u
+                    break
+                for a in selected_at[u]:
+                    t = find(tail(a))
+                    ahead.setdefault(t, []).append(u)
+                    if t not in behind:
+                        behind[t] = u
+                        stack.append(t)
+            if blocked is not None:
+                # Everything on the path from the blocker to z is reachable
+                # from an unsaturated vertex, now and in every later phase.
+                while blocked is not None:
+                    dead.add(blocked)
+                    blocked = behind[blocked]
+                continue
+            reached, stack = {z}, [z]
+            while stack:
+                for w in ahead.get(stack.pop(), ()):
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            if len(reached) == len(behind):
+                found.append(frozenset(behind))
+                claimed.update(behind)
+        return sorted(found, key=min)
+
+    for v in graph.vertices:
+        chosen = _select_at(graph.in_arc_ids(v), caps[v], wnum, oracles.get(v))
+        selected_at[v] = chosen
+        for a in chosen:
+            weight_of[a] = wnum[a]
+    tight = saturated_components(graph, caps, frozenset(weight_of))
+
+    history: list[tuple[ContractionStep, ...]] = []
+    phase_limit = graph.vertex_count + len(wnum) + 1
+    next_vertex = max(graph.vertices, default=-1) + 1
+    while tight:
+        steps = []
+        for component in tight:
+            steps.append(merge(sorted(component), next_vertex))
+            next_vertex += 1
+        history.append(tuple(steps))
+        if len(history) > phase_limit:
+            raise AssertionError(
+                "phase count exceeded its bound; contraction is not making progress"
+            )
+        fresh = [step.new_vertex for step in steps]
+        for z in fresh:
+            reselect(z)
+        tight = tight_through(fresh)
+    history.append(())
+
+    # Unwind top-down.  The arc kept into a contracted vertex also enters
+    # every contracted vertex between it and the arc's original head.
+    final: set[int] = set()
+    incoming: dict[int, tuple[int, int]] = {}  # contracted vertex -> (arc, member)
+
+    def keep(a: int, stop: Optional[int]) -> None:
+        final.add(a)
+        u = head(a)
+        while (p := link.get(u)) != stop:
+            if p in incoming:
+                raise AssertionError("more than one selected arc enters a contracted vertex")
+            incoming[p] = (a, u)
+            u = p
+
+    for chosen in selected_at.values():
+        for a in chosen:
+            keep(a, None)
+    for steps in reversed(history):
+        for step in reversed(steps):
+            entry = incoming.get(step.new_vertex)
+            if entry is None:
+                drop = step.cheapest_internal
+            else:
+                a, member = entry
+                rule = step.replacement[member]
+                drop = rule if isinstance(rule, int) else rule[a]
+            for a in step.internal:
+                if a != drop:
+                    keep(a, step.new_vertex)
+    return frozenset(final), history

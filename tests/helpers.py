@@ -1,5 +1,6 @@
-"""Shared random-instance generators and the reference certificate verifier
-for the test suite."""
+"""Shared random-instance generators and the test-only reference
+implementations (certificate verifier, phase engine and dual replay) for the
+test suite."""
 
 from __future__ import annotations
 
@@ -11,8 +12,12 @@ from bbranching import (
     CertificateCheck,
     DemandVector,
     Digraph,
+    DualCertificate,
+    OracleInconsistencyError,
     PackingInstance,
     WeightVector,
+    contract,
+    fundamental_circuit,
 )
 from bbranching.matroids import indegree_profile, saturated_components
 
@@ -135,3 +140,191 @@ def reference_verify(graph, capacities, weights, arcs, certificate) -> Certifica
     if wv.value(subset) != certificate.objective:
         return CertificateCheck(False, "duality-gap")
     return CertificateCheck(True)
+
+
+# ---------------------------------------------------------------------------
+# Reference greedy: the textbook phase loop, kept as the test oracle for the
+# incremental engine and its dual replay.  Every phase reselects every vertex,
+# runs strong components on the whole working graph and rebuilds it through
+# `contract`; the replay re-ranks each head's pool at every contraction.
+
+
+def _reference_select(graph, caps, wnum, oracles) -> frozenset:
+    """Per vertex, the matroid greedy over the positive entering arcs."""
+    chosen = []
+    for v in graph.vertices:
+        cap = caps[v]
+        cand = [a for a in graph.in_arc_ids(v) if wnum[a] > 0]
+        oracle = oracles.get(v)
+        if oracle is not None or len(cand) > cap:
+            cand.sort(key=lambda a: (-wnum[a], a))
+        if oracle is None:
+            chosen.extend(cand[:cap])
+            continue
+        picked = []
+        for a in cand:
+            if len(picked) >= cap:
+                break
+            if oracle.is_independent((*picked, a)):
+                picked.append(a)
+        chosen.extend(picked)
+    return frozenset(chosen)
+
+
+def _reference_replacements(graph, selected, wnum, entering, oracles) -> dict:
+    """Per arc entering a tight component, the cheapest selected arc into its
+    head (capacity rule) or the cheapest other member of its fundamental
+    circuit in the head's matroid; ties to the smaller id."""
+    alpha = {}
+    for a in entering:
+        y = graph.head(a)
+        oracle = oracles.get(y)
+        base = [f for f in graph.in_arc_ids(y) if f in selected]
+        if oracle is None:
+            alpha[a] = min(base, key=lambda f: (wnum[f], f))
+            continue
+        circuit = fundamental_circuit(oracle, base, a)
+        if circuit is None:
+            raise OracleInconsistencyError(f"vertex {y} is saturated yet accepts another arc")
+        pool = circuit - {a}
+        if not pool:
+            raise OracleInconsistencyError(f"arc {a} became a matroid loop after preprocessing")
+        alpha[a] = min(pool, key=lambda f: (wnum[f], f))
+    return alpha
+
+
+def _reference_phases(graph, caps, wnum, oracles):
+    """(solution, history): one list of (record, replacement, anchor weight)
+    per phase, the last one empty.  `caps` and `wnum` are updated in place."""
+    history = []
+    while True:
+        selected = _reference_select(graph, caps, wnum, oracles)
+        tight = saturated_components(graph, caps, selected)
+        if not tight:
+            history.append([])
+            break
+        steps = []
+        for component in tight:
+            current = selected & graph.arc_id_set
+            entering = [
+                a
+                for v in sorted(component)
+                for a in graph.in_arc_ids(v)
+                if graph.tail(a) not in component
+            ]
+            alpha = _reference_replacements(graph, current, wnum, entering, oracles)
+            graph, record = contract(graph, component, current, wnum)
+            anchor_weight = wnum[record.cheapest_internal]
+            for a in record.entering:
+                wnum[a] = wnum[a] - wnum[alpha[a]] + anchor_weight
+            for a in record.dropped:
+                del wnum[a]
+            for v in component:
+                del caps[v]
+            caps[record.new_vertex] = 1
+            steps.append((record, alpha, anchor_weight))
+        history.append(steps)
+
+    final = set(selected)
+    for steps in reversed(history):
+        for record, alpha, _ in reversed(steps):
+            incoming = [a for a in final if a in record.entering]
+            if len(incoming) > 1:
+                raise AssertionError("more than one selected arc enters a contracted vertex")
+            if incoming:
+                final |= record.internal - {alpha[incoming[0]]}
+            else:
+                final |= record.internal - {record.cheapest_internal}
+    return frozenset(final), history
+
+
+def _reference_dual(history, graph, capacities, wv) -> DualCertificate:
+    """Running modified weights over the original arcs: every contracted
+    component, expanded back to original vertices, charges its potential to
+    all arcs it encloses, and each going rate re-ranks its head's pool."""
+    den = wv.denominator
+    charged = list(wv.numerators)
+    pool = {v: [a for a in graph.in_arc_ids(v) if wv.numerators[a] >= 0] for v in graph.vertices}
+
+    def kth_largest(values, k):
+        if len(values) < k:
+            return 0
+        values.sort(reverse=True)
+        return values[k - 1]
+
+    expansion, enclosed, sets = {}, {}, []
+    for steps in history:
+        for record, _, anchor_weight in steps:
+            members = frozenset()
+            for u in record.merged:
+                members |= expansion.get(u, frozenset((u,)))
+            inside = set(record.dropped)
+            for u in record.merged:
+                inside |= enclosed.get(u, frozenset())
+            going_rate = {}
+            candidates = []
+            for a in sorted(record.entering):
+                y = graph.head(a)
+                if y not in going_rate:
+                    going_rate[y] = kth_largest([charged[e] for e in pool[y]], capacities[y])
+                candidates.append(going_rate[y] - charged[a])
+            candidates.append(anchor_weight)
+            potential = min(candidates)
+            if potential:
+                for e in inside:
+                    charged[e] -= potential
+            expansion[record.new_vertex] = members
+            enclosed[record.new_vertex] = frozenset(inside)
+            if potential > 0:
+                sets.append((members, potential, frozenset(inside)))
+
+    p_vertex = {
+        v: max(0, kth_largest([charged[e] for e in pool[v]], capacities[v])) for v in graph.vertices
+    }
+    charge = {}
+    for _, potential, inside in sets:
+        for e in inside:
+            charge[e] = charge.get(e, 0) + potential
+    q = {}
+    for a in graph.arc_ids:
+        slack = wv.numerators[a] - p_vertex[graph.head(a)] - charge.get(a, 0)
+        if slack > 0:
+            q[a] = slack
+    objective = (
+        sum(capacities[v] * p_vertex[v] for v in graph.vertices)
+        + sum((capacities.total(members) - 1) * pot for members, pot, _ in sets)
+        + sum(q.values())
+    )
+    return DualCertificate(
+        p_vertex={v: Fraction(p_vertex[v], den) for v in graph.vertices},
+        p_sets=tuple(
+            (members, Fraction(pot, den))
+            for members, pot, _ in sorted(
+                sets, key=lambda item: (min(item[0]), len(item[0]), sorted(item[0]))
+            )
+        ),
+        q={a: Fraction(n, den) for a, n in sorted(q.items())},
+        objective=Fraction(objective, den),
+    )
+
+
+def reference_max_weight(graph, capacities, weights, oracles=None):
+    """Test-only oracle for the optimizers, running the textbook phase loop.
+
+    Without `oracles`: `(arcs, certificate)` as `max_weight_b_branching`
+    computes them.  With a vertex -> matroid oracle map: the arc set of
+    `mr_max_weight_b_branching`, arcs that are loops of their head's matroid
+    dropped up front as that solver does."""
+    wv = WeightVector.coerce(weights, graph.arc_count)
+    nums = wv.numerators
+    kept = [
+        (a, t, h)
+        for a, t, h in graph.arcs()
+        if nums[a] >= 0 and (oracles is None or oracles[h].is_independent((a,)))
+    ]
+    work = Digraph(graph.vertices, kept)
+    wnum = {a: nums[a] for a, _, _ in kept}
+    final, history = _reference_phases(work, capacities.as_dict(), wnum, oracles or {})
+    if oracles is not None:
+        return final
+    return final, _reference_dual(history, graph, capacities, wv)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,36 @@ def test_weight_vector_parsing():
         WeightVector.from_values([0.5])
     with pytest.raises(WeightError):
         WeightVector.from_values(["nope"])
+
+
+@pytest.mark.parametrize(
+    "text", ["1e200000", "1E5", "2.5e-3", " 1/2", "1_000", ".5", "3.", "1/0", "1/-2", "+-1", "１"]
+)
+def test_weight_strings_outside_the_rational_grammar_are_rejected(text):
+    # An exponent string would otherwise expand into a huge integer:
+    # Fraction("1e200000") has a 664 386-bit numerator.
+    with pytest.raises(WeightError):
+        WeightVector.from_values([text, 1])
+
+
+def fraction_weight_vector(values):
+    """The weight vector built value by value through Fraction."""
+    fracs = [Fraction(v) for v in values]
+    den = 1
+    for f in fracs:
+        den = den * f.denominator // math.gcd(den, f.denominator)
+    return WeightVector(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
+
+
+def test_rational_strings_parse_to_the_reduced_weight_vector():
+    rng = random.Random(113)
+    fixed = [["0/3", "-4/6", "2/4"], ["0/3", "0/6"], ["-4/6", 7, Fraction(1, 3)], ["-0.50", "1.25", "+3"]]
+    drawn = [
+        [f"{rng.randint(-20, 100)}/{rng.choice((1, 2, 3, 4, 6))}" for _ in range(rng.randint(1, 180))]
+        for _ in range(300)
+    ]
+    for values in fixed + drawn:
+        assert WeightVector.from_values(values) == fraction_weight_vector(values)
 
 
 def test_max_weight_indegree_set_examples():
@@ -154,7 +185,8 @@ def test_phase_count_bounded_and_monotone():
         assert all(history[:-1]) and history[-1] == ()
         for steps in history:
             for step in steps:
-                assert step.record.cheapest_internal in step.record.internal
+                assert step.cheapest_internal in step.internal
+                assert set(step.replacement) == set(step.merged)
 
 
 def test_certificate_laminarity():
