@@ -8,7 +8,7 @@ integer polytope points, and generalizes the per-vertex capacity to an
 arbitrary matroid, all cross-checkable against brute-force oracles.
 """
 
-from .digraph import ArcSubset, ContractionRecord, Digraph, contract, in_arcs, induced_arcs, strong_components
+from .digraph import ArcSubset, Digraph, in_arcs, induced_arcs, strong_components
 from .matroids import (
     BBranching,
     CapacityVector,
@@ -35,12 +35,10 @@ from .greedy import (
     verify_certificate,
 )
 from .packing import (
-    BruteForceSfm,
     Feasibility,
     InfeasiblePackingError,
     PackingInstance,
     PackingResult,
-    SfmBackend,
     check_packing_conditions,
     exists_b_branching_with_indegree,
     find_disjoint_b_branchings,
@@ -55,7 +53,6 @@ from .covering import (
 )
 from .mrgreedy import MatroidAssignment, OracleInconsistencyError, mr_max_weight_b_branching
 from .oracle import (
-    SizeGate,
     SizeGateError,
     brute_exists_packing,
     brute_max_weight,
@@ -66,10 +63,8 @@ from .oracle import (
 __all__ = [
     "ArcSubset",
     "BBranching",
-    "BruteForceSfm",
     "CapacityVector",
     "CertificateCheck",
-    "ContractionRecord",
     "DecompositionError",
     "DemandVector",
     "Digraph",
@@ -83,8 +78,6 @@ __all__ = [
     "PackingInstance",
     "PackingResult",
     "PartitionOracle",
-    "SfmBackend",
-    "SizeGate",
     "SizeGateError",
     "UniformOracle",
     "WeightVector",
@@ -93,7 +86,6 @@ __all__ = [
     "brute_min_set_function",
     "check_cover_conditions",
     "check_packing_conditions",
-    "contract",
     "cover_by_b_branchings",
     "dual_from_run",
     "enumerate_b_branchings",

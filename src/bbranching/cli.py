@@ -123,7 +123,11 @@ class InstanceDocument:
         w = self.raw.get("w")
         if not isinstance(w, list) or len(w) != self.graph.arc_count:
             raise _fail("$.w", f"expected a list of {self.graph.arc_count} weights")
-        values = [_parse_rational(v, f"$.w[{i}]") for i, v in enumerate(w)]
+        # JSON integers pass through, so integer documents take the all-int
+        # path of `from_values`; only the other values are parsed here.
+        values = [
+            v if type(v) is int else _parse_rational(v, f"$.w[{i}]") for i, v in enumerate(w)
+        ]
         return WeightVector.from_values(values)
 
     def parts_count(self) -> int:
@@ -277,8 +281,11 @@ def _write_dot(doc: InstanceDocument, path: str) -> None:
     for a, tail, head in doc.graph.arcs():
         lines.append(f"  {tail} -> {head} [label=\"a{a}\"];")
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +449,12 @@ def run(argv: Sequence[str]) -> int:
         return 1
     except json.JSONDecodeError as exc:
         print(f"error: {args.input} is not valid JSON: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print(f"error: {args.input} nests too deeply to parse", file=sys.stderr)
         return 1
 
     try:

@@ -16,12 +16,11 @@ from typing import Optional, Sequence
 
 from .digraph import Digraph
 from .matroids import BBranching, CapacityVector, DemandVector, is_b_branching
+from .oracle import brute_min_set_function
 from .packing import (
-    _DEFAULT_BACKEND,
     Feasibility,
     InfeasiblePackingError,
     PackingInstance,
-    SfmBackend,
     find_disjoint_b_branchings,
 )
 
@@ -34,17 +33,11 @@ class DecompositionError(ValueError):
         self.witness = witness or {}
 
 
-def check_cover_conditions(
-    graph: Digraph,
-    capacities: CapacityVector,
-    k: int,
-    backend: Optional[SfmBackend] = None,
-) -> Feasibility:
+def check_cover_conditions(graph: Digraph, capacities: CapacityVector, k: int) -> Feasibility:
     """Per-vertex degree bound plus the induced-arc bound over all vertex sets."""
     if k < 1:
         raise ValueError("k must be at least 1")
     capacities.check_domain(graph)
-    backend = backend or _DEFAULT_BACKEND
     for v in graph.vertices:
         if len(graph.in_arc_ids(v)) > k * capacities[v]:
             return Feasibility(False, vertex=v)
@@ -59,18 +52,13 @@ def check_cover_conditions(
         )
         return k * (capacities.total(subset) - 1) - induced
 
-    witness, value = backend.minimize(slack, graph.vertices, constraint=lambda s: bool(s))
+    witness, value = brute_min_set_function(slack, graph.vertices, constraint=lambda s: bool(s))
     if value < 0:
         return Feasibility(False, subset=witness)
     return Feasibility(True)
 
 
-def _augmented_cover_parts(
-    graph: Digraph,
-    capacities: CapacityVector,
-    k: int,
-    backend: SfmBackend,
-) -> list[frozenset]:
+def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -> list[frozenset]:
     """Partition of the arc ids into k feasible parts via root augmentation.
 
     At most max(1, |A|) parts can be nonempty, and the cover conditions for
@@ -95,7 +83,7 @@ def _augmented_cover_parts(
     instance = PackingInstance(
         augmented, CapacityVector(caps), tuple(demand for _ in range(packed))
     )
-    result = find_disjoint_b_branchings(instance, backend)
+    result = find_disjoint_b_branchings(instance)
 
     original = graph.arc_id_set
     parts = [part & original for part in result.branchings]
@@ -108,18 +96,12 @@ def _augmented_cover_parts(
     return parts
 
 
-def cover_by_b_branchings(
-    graph: Digraph,
-    capacities: CapacityVector,
-    k: int,
-    backend: Optional[SfmBackend] = None,
-) -> list[BBranching]:
+def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) -> list[BBranching]:
     """Partition the arc set into k feasible parts; conditions must hold."""
-    backend = backend or _DEFAULT_BACKEND
-    feasibility = check_cover_conditions(graph, capacities, k, backend)
+    feasibility = check_cover_conditions(graph, capacities, k)
     if not feasibility:
         raise InfeasiblePackingError(f"cover conditions violated: {feasibility}")
-    parts = _augmented_cover_parts(graph, capacities, k, backend)
+    parts = _augmented_cover_parts(graph, capacities, k)
     return [BBranching.of(graph, capacities, part) for part in parts]
 
 
@@ -198,7 +180,6 @@ def _peel_decomposition(
     capacities: CapacityVector,
     k: int,
     multiplicity: Sequence[int],
-    backend: SfmBackend,
 ) -> list[frozenset]:
     """Fallback: peel one feasible part at a time, re-checking that the
     remainder stays inside the shrunken polytope."""
@@ -225,7 +206,7 @@ def _peel_decomposition(
                     remaining[a] - (1 if a in candidate else 0) for a in graph.arc_ids
                 ]
                 rest_graph, _ = _multiplicity_graph(graph, rest)
-                if check_cover_conditions(rest_graph, capacities, level - 1, backend):
+                if check_cover_conditions(rest_graph, capacities, level - 1):
                     found = candidate
                     break
             if found is not None:
@@ -243,11 +224,9 @@ def integer_decompose(
     capacities: CapacityVector,
     k: int,
     multiplicity: Sequence[int],
-    backend: Optional[SfmBackend] = None,
 ) -> list[frozenset]:
     """Write an integer vector of k times the feasible polytope as a sum of
     k feasible 0/1 parts (returned as arc-id sets)."""
-    backend = backend or _DEFAULT_BACKEND
     if k < 1:
         raise ValueError("k must be at least 1")
     capacities.check_domain(graph)
@@ -261,7 +240,7 @@ def integer_decompose(
             )
 
     expanded, origin = _multiplicity_graph(graph, values)
-    feasibility = check_cover_conditions(expanded, capacities, k, backend)
+    feasibility = check_cover_conditions(expanded, capacities, k)
     if not feasibility:
         witness: dict = {}
         if feasibility.vertex is not None:
@@ -270,7 +249,7 @@ def integer_decompose(
             witness["X"] = sorted(feasibility.subset)
         raise DecompositionError("vector lies outside k times the polytope", witness)
 
-    copy_parts = _augmented_cover_parts(expanded, capacities, k, backend)
+    copy_parts = _augmented_cover_parts(expanded, capacities, k)
     counts = [Counter(origin[c] for c in part) for part in copy_parts]
     if all(count <= 1 for counter in counts for count in counter.values()):
         parts = [frozenset(counter) for counter in counts]
@@ -279,7 +258,7 @@ def integer_decompose(
         parts = (
             repaired
             if repaired is not None
-            else _peel_decomposition(graph, capacities, k, values, backend)
+            else _peel_decomposition(graph, capacities, k, values)
         )
 
     total = Counter()

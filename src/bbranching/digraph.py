@@ -1,14 +1,14 @@
-"""Directed multigraph with stable arc identities, strong components and contraction.
+"""Directed multigraph with stable arc identities, arc-subset queries and
+strong components.
 
-Arc ids are stable: contracting a vertex set keeps the ids of all surviving
-arcs, so an arc set computed on a contracted graph is directly meaningful in
-every ancestor graph.  Parallel arcs and self-loops are allowed everywhere.
+Arc ids are stable and need not be contiguous, so an arc set keeps its
+meaning in any graph built from the same arcs.  Parallel arcs and self-loops
+are allowed everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator
 
 # Arc subsets are plain frozensets of arc ids; iterate with sorted() whenever
 # the order matters.
@@ -104,26 +104,6 @@ class Digraph:
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"
 
 
-@dataclass(frozen=True)
-class ContractionRecord:
-    """Everything needed to undo one contraction.
-
-    `entering` maps each surviving reattached arc (an arc whose head moved to
-    the new vertex) to its pre-contraction (tail, head); since arc ids are
-    stable this is the arc-provenance map, trivially injective.  `internal`
-    is the selected-arc set induced by the merged vertices at contraction
-    time, `cheapest_internal` its minimum-weight member, and `dropped` all
-    arcs removed from the graph.
-    """
-
-    merged: frozenset
-    new_vertex: int
-    entering: Mapping[int, tuple[int, int]]
-    internal: frozenset
-    cheapest_internal: Optional[int]
-    dropped: frozenset
-
-
 def _check_subset(graph: Digraph, arcs: Iterable[int]) -> frozenset:
     subset = frozenset(arcs)
     if not subset <= graph.arc_id_set:
@@ -207,61 +187,3 @@ def strong_components(graph: Digraph, arcs: Iterable[int]) -> tuple[frozenset, .
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return tuple(sorted(components, key=min))
-
-
-def contract(
-    graph: Digraph,
-    merge: Iterable[int],
-    arcs: Iterable[int],
-    weights: Mapping[int, object],
-) -> tuple[Digraph, ContractionRecord]:
-    """Contract the vertex set `merge` into one fresh vertex.
-
-    Arcs inside the merged set are removed; arcs entering it are reattached to
-    the new vertex and recorded in the provenance map; arcs leaving it keep
-    their heads and get the new vertex as tail.  The fresh vertex id is the
-    smallest integer above every existing id, so repeated contractions are
-    reproducible.  `arcs` is the currently selected subset F: its induced part
-    and minimum-weight member (ties to the smaller id) go into the record.
-    """
-    inside = frozenset(merge)
-    if not inside:
-        raise ValueError("cannot contract an empty vertex set")
-    if not inside <= graph.vertex_set:
-        bad = sorted(inside - graph.vertex_set)
-        raise ValueError(f"unknown vertex ids: {bad}")
-    selected = _check_subset(graph, arcs)
-
-    new_vertex = max(graph.vertices) + 1
-    new_vertices = [v for v in graph.vertices if v not in inside]
-    new_vertices.append(new_vertex)
-
-    new_arcs: list[tuple[int, int, int]] = []
-    entering: dict[int, tuple[int, int]] = {}
-    dropped: list[int] = []
-    for a, tail, head in graph.arcs():
-        t_in = tail in inside
-        h_in = head in inside
-        if t_in and h_in:
-            dropped.append(a)
-        elif h_in:
-            entering[a] = (tail, head)
-            new_arcs.append((a, tail, new_vertex))
-        elif t_in:
-            new_arcs.append((a, new_vertex, head))
-        else:
-            new_arcs.append((a, tail, head))
-
-    internal = selected & frozenset(dropped)
-    cheapest = None
-    if internal:
-        cheapest = min(internal, key=lambda a: (weights[a], a))
-    record = ContractionRecord(
-        merged=inside,
-        new_vertex=new_vertex,
-        entering=entering,
-        internal=internal,
-        cheapest_internal=cheapest,
-        dropped=frozenset(dropped),
-    )
-    return Digraph(new_vertices, new_arcs), record

@@ -6,7 +6,6 @@ definitions; size gates fail loudly instead of degrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Optional
@@ -20,34 +19,24 @@ class SizeGateError(RuntimeError):
     """An instance exceeded the limits of a brute-force oracle."""
 
 
-@dataclass(frozen=True)
-class SizeGate:
-    """Hard limits for exhaustive scans."""
-
-    max_vertices: int = 20
-    max_arcs: int = 22
-
-    def __post_init__(self):
-        if self.max_vertices <= 0 or self.max_arcs <= 0:
-            raise ValueError("gates must be positive")
-
-    def check_vertices(self, n: int) -> None:
-        if n > self.max_vertices:
-            raise SizeGateError(f"{n} vertices exceed the gate of {self.max_vertices}")
-
-    def check_arcs(self, m: int) -> None:
-        if m > self.max_arcs:
-            raise SizeGateError(f"{m} arcs exceed the gate of {self.max_arcs}")
+# The scans visit up to 2**MAX_VERTICES vertex sets or 2**MAX_ARCS arc sets.
+MAX_VERTICES = 20
+MAX_ARCS = 22
 
 
-DEFAULT_GATE = SizeGate()
+def _check_vertices(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise SizeGateError(f"{n} vertices exceed the gate of {MAX_VERTICES}")
 
 
-def enumerate_b_branchings(
-    graph: Digraph, capacities: CapacityVector, gate: SizeGate = DEFAULT_GATE
-) -> list[frozenset]:
+def _check_arcs(m: int) -> None:
+    if m > MAX_ARCS:
+        raise SizeGateError(f"{m} arcs exceed the gate of {MAX_ARCS}")
+
+
+def enumerate_b_branchings(graph: Digraph, capacities: CapacityVector) -> list[frozenset]:
     """Every feasible arc set, sorted by (size, sorted arc ids)."""
-    gate.check_arcs(graph.arc_count)
+    _check_arcs(graph.arc_count)
     found: list[frozenset] = []
     arcs = graph.arc_ids
     caps = capacities.as_dict()
@@ -76,7 +65,6 @@ def brute_min_set_function(
     func: Callable[[frozenset], int],
     vertices: Iterable[int],
     constraint: Optional[Callable[[frozenset], bool]] = None,
-    gate: SizeGate = DEFAULT_GATE,
 ) -> tuple[frozenset, int]:
     """Global minimum of a set function over the (constrained) subset lattice.
 
@@ -85,7 +73,7 @@ def brute_min_set_function(
     smaller minimizing subset.
     """
     verts = sorted(vertices)
-    gate.check_vertices(len(verts))
+    _check_vertices(len(verts))
     best_key = None
     best_set = None
     for size in range(len(verts) + 1):
@@ -120,19 +108,14 @@ def _per_vertex_choices(
     return all_choices
 
 
-def brute_max_weight(
-    graph: Digraph,
-    capacities: CapacityVector,
-    weights,
-    gate: SizeGate = DEFAULT_GATE,
-) -> Fraction:
+def brute_max_weight(graph: Digraph, capacities: CapacityVector, weights) -> Fraction:
     """Exact optimum by scanning all indegree-independent sets.
 
     The indegree cap b(v) is the rank-b(v) uniform matroid on the arcs
     entering v, so this is the restricted scan with those oracles.
     """
     oracles = {v: UniformOracle(graph.in_arc_ids(v), capacities[v]) for v in graph.vertices}
-    return brute_max_weight_restricted(graph, capacities, weights, oracles, gate)
+    return brute_max_weight_restricted(graph, capacities, weights, oracles)
 
 
 def brute_max_weight_restricted(
@@ -140,7 +123,6 @@ def brute_max_weight_restricted(
     capacities: CapacityVector,
     weights,
     oracles,
-    gate: SizeGate = DEFAULT_GATE,
 ) -> Fraction:
     """Exact optimum over sets independent in every vertex oracle and sparse.
 
@@ -148,7 +130,7 @@ def brute_max_weight_restricted(
     the capacity each, independent in the vertex's oracle), pruning with an
     upper bound, and keeps the best sparsity-independent combination.
     """
-    gate.check_arcs(graph.arc_count)
+    _check_arcs(graph.arc_count)
     wv = WeightVector.coerce(weights, graph.arc_count)
     nums = wv.numerators
 
@@ -191,7 +173,7 @@ def brute_max_weight_restricted(
     return Fraction(best, wv.denominator)
 
 
-def brute_exists_packing(instance, gate: SizeGate = DEFAULT_GATE) -> bool:
+def brute_exists_packing(instance) -> bool:
     """Whether disjoint feasible sets with the prescribed indegrees exist.
 
     Recursively assigns, per demand vector, an exact-indegree candidate from
@@ -199,8 +181,8 @@ def brute_exists_packing(instance, gate: SizeGate = DEFAULT_GATE) -> bool:
     """
     graph = instance.graph
     capacities = instance.capacities
-    gate.check_arcs(graph.arc_count)
-    gate.check_vertices(graph.vertex_count)
+    _check_arcs(graph.arc_count)
+    _check_vertices(graph.vertex_count)
     demands = [d.as_dict() for d in instance.demands]
 
     def assign(idx: int, available: frozenset) -> bool:

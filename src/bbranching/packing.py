@@ -9,10 +9,9 @@ demanded region, shrinking the problem until every demand is met.
 from __future__ import annotations
 
 import functools
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .digraph import Digraph
 from .greedy import WeightVector
@@ -22,7 +21,7 @@ from .matroids import (
     indegree_profile,
     is_b_branching,
 )
-from .oracle import DEFAULT_GATE, SizeGate, brute_min_set_function
+from .oracle import _check_arcs, brute_min_set_function
 
 
 class InfeasiblePackingError(ValueError):
@@ -39,33 +38,6 @@ class Feasibility:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class SfmBackend(ABC):
-    """Minimizer for integer set functions given by an evaluation oracle."""
-
-    @abstractmethod
-    def minimize(
-        self,
-        func: Callable[[frozenset], int],
-        vertices: Iterable[int],
-        constraint: Optional[Callable[[frozenset], bool]] = None,
-    ) -> tuple[frozenset, int]:
-        """Return (minimizer, value); the minimizer is inclusionwise minimal,
-        with ties broken by cardinality and then lexicographic vertex order."""
-
-
-class BruteForceSfm(SfmBackend):
-    """Default backend: exhaustive scan, gated to small vertex counts."""
-
-    def __init__(self, gate: SizeGate = DEFAULT_GATE):
-        self.gate = gate
-
-    def minimize(self, func, vertices, constraint=None):
-        return brute_min_set_function(func, vertices, constraint=constraint, gate=self.gate)
-
-
-_DEFAULT_BACKEND = BruteForceSfm()
 
 
 @dataclass(frozen=True)
@@ -136,34 +108,28 @@ def _packing_conditions(
     capacities: CapacityVector,
     alive: frozenset,
     demands: Sequence[Mapping[int, int]],
-    backend: SfmBackend,
 ) -> Feasibility:
-    """Degree condition per vertex, then the cut condition via one SFM call."""
+    """Degree condition per vertex, then the cut condition via one subset scan."""
     for v in graph.vertices:
         if sum(1 for a in graph.in_arc_ids(v) if a in alive) < sum(d[v] for d in demands):
             return Feasibility(False, vertex=v)
     if graph.vertex_count == 0:
         return Feasibility(True)
     shortfall = functools.partial(_shortfall, graph, capacities, alive, demands)
-    witness, value = backend.minimize(shortfall, graph.vertices)
+    witness, value = brute_min_set_function(shortfall, graph.vertices)
     if value < 0:
         return Feasibility(False, subset=witness)
     return Feasibility(True)
 
 
-def check_packing_conditions(
-    instance: PackingInstance, backend: Optional[SfmBackend] = None
-) -> Feasibility:
+def check_packing_conditions(instance: PackingInstance) -> Feasibility:
     """Degree condition per vertex, cut condition via set-function minimization."""
     graph = instance.graph
     demands = [d.as_dict() for d in instance.demands]
-    backend = backend or _DEFAULT_BACKEND
-    return _packing_conditions(graph, instance.capacities, graph.arc_id_set, demands, backend)
+    return _packing_conditions(graph, instance.capacities, graph.arc_id_set, demands)
 
 
-def find_disjoint_b_branchings(
-    instance: PackingInstance, backend: Optional[SfmBackend] = None
-) -> PackingResult:
+def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     """Construct the disjoint parts for a feasible instance.
 
     Demands are served round-robin.  Each step finds the inclusionwise-minimal
@@ -172,8 +138,7 @@ def find_disjoint_b_branchings(
     the unsaturated side into the demanded side.  Every step preserves both
     feasibility conditions (checked), so the loop always completes.
     """
-    backend = backend or _DEFAULT_BACKEND
-    feasibility = check_packing_conditions(instance, backend)
+    feasibility = check_packing_conditions(instance)
     if not feasibility:
         raise InfeasiblePackingError(f"instance is infeasible: {feasibility}")
 
@@ -205,7 +170,7 @@ def find_disjoint_b_branchings(
             return bool(subset & (zero | partial)) and bool(subset - zero)
 
         shortfall = functools.partial(_shortfall, graph, capacities, frozenset(alive), demands)
-        tight, value = backend.minimize(shortfall, graph.vertices, constraint=frontier)
+        tight, value = brute_min_set_function(shortfall, graph.vertices, constraint=frontier)
         if value != 0:
             raise AssertionError(
                 "feasible instance must have a tight set (the whole vertex set qualifies)"
@@ -227,7 +192,7 @@ def find_disjoint_b_branchings(
         parts[active_index].add(arc)
         alive.discard(arc)
         active[graph.head(arc)] -= 1
-        if not _packing_conditions(graph, capacities, frozenset(alive), demands, backend):
+        if not _packing_conditions(graph, capacities, frozenset(alive), demands):
             raise AssertionError("committing an arc must preserve the packing conditions")
 
     branchings = tuple(frozenset(part) for part in parts)
@@ -244,23 +209,20 @@ def exists_b_branching_with_indegree(
     graph: Digraph,
     capacities: CapacityVector,
     demand: DemandVector,
-    backend: Optional[SfmBackend] = None,
 ) -> tuple[Feasibility, Optional[frozenset]]:
     """Single-part case: is there a feasible set with this exact indegree?"""
     demand.validate_against(capacities)
     instance = PackingInstance(graph, capacities, (demand,))
-    feasibility = check_packing_conditions(instance, backend)
+    feasibility = check_packing_conditions(instance)
     if not feasibility:
         return feasibility, None
-    result = find_disjoint_b_branchings(instance, backend)
+    result = find_disjoint_b_branchings(instance)
     return feasibility, result.branchings[0]
 
 
 def min_weight_disjoint_b_branchings(
     instance: PackingInstance,
     weights: Union[WeightVector, Iterable],
-    gate: SizeGate = DEFAULT_GATE,
-    backend: Optional[SfmBackend] = None,
 ) -> PackingResult:
     """Minimum-total-weight packing by exhaustive search (test oracle only).
 
@@ -269,11 +231,10 @@ def min_weight_disjoint_b_branchings(
     with the constructive procedure.  Deterministic: ties go to the earliest
     candidate in lexicographic arc order.
     """
-    backend = backend or _DEFAULT_BACKEND
     graph = instance.graph
-    gate.check_arcs(graph.arc_count)
+    _check_arcs(graph.arc_count)
     wv = WeightVector.coerce(weights, graph.arc_count)
-    feasibility = check_packing_conditions(instance, backend)
+    feasibility = check_packing_conditions(instance)
     if not feasibility:
         raise InfeasiblePackingError(f"instance is infeasible: {feasibility}")
 
@@ -289,7 +250,7 @@ def min_weight_disjoint_b_branchings(
             profile[h] = profile.get(h, 0) + 1
         if any(profile.get(v, 0) != needed[v] for v in graph.vertices):
             continue
-        if not _packing_conditions(graph, instance.capacities, frozenset(combo), demands, backend):
+        if not _packing_conditions(graph, instance.capacities, frozenset(combo), demands):
             continue
         weight = sum(wv.numerators[a] for a in combo)
         if best is None or weight < best[0]:
@@ -301,7 +262,7 @@ def min_weight_disjoint_b_branchings(
         graph.vertices, [(a, *graph.endpoints(a)) for a in best[1]]
     )
     restricted = PackingInstance(sub, instance.capacities, instance.demands)
-    result = find_disjoint_b_branchings(restricted, backend)
+    result = find_disjoint_b_branchings(restricted)
     for part in result.branchings:
         if not is_b_branching(graph, instance.capacities, part):
             raise AssertionError("packed part is not feasible in the original graph")

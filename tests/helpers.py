@@ -1,11 +1,13 @@
 """Shared random-instance generators and the test-only reference
-implementations (certificate verifier, phase engine and dual replay) for the
-test suite."""
+implementations (certificate verifier, vertex-set contraction, phase engine
+and dual replay) for the test suite."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping, Optional
 
 from bbranching import (
     CapacityVector,
@@ -16,9 +18,9 @@ from bbranching import (
     OracleInconsistencyError,
     PackingInstance,
     WeightVector,
-    contract,
     fundamental_circuit,
 )
+from bbranching.digraph import _check_subset
 from bbranching.matroids import indegree_profile, saturated_components
 
 
@@ -147,6 +149,84 @@ def reference_verify(graph, capacities, weights, arcs, certificate) -> Certifica
 # incremental engine and its dual replay.  Every phase reselects every vertex,
 # runs strong components on the whole working graph and rebuilds it through
 # `contract`; the replay re-ranks each head's pool at every contraction.
+
+
+@dataclass(frozen=True)
+class ContractionRecord:
+    """Everything needed to undo one contraction.
+
+    `entering` maps each surviving reattached arc (an arc whose head moved to
+    the new vertex) to its pre-contraction (tail, head); since arc ids are
+    stable this is the arc-provenance map, trivially injective.  `internal`
+    is the selected-arc set induced by the merged vertices at contraction
+    time, `cheapest_internal` its minimum-weight member, and `dropped` all
+    arcs removed from the graph.
+    """
+
+    merged: frozenset
+    new_vertex: int
+    entering: Mapping[int, tuple[int, int]]
+    internal: frozenset
+    cheapest_internal: Optional[int]
+    dropped: frozenset
+
+
+def contract(
+    graph: Digraph,
+    merge: Iterable[int],
+    arcs: Iterable[int],
+    weights: Mapping[int, object],
+) -> tuple[Digraph, ContractionRecord]:
+    """Contract the vertex set `merge` into one fresh vertex.
+
+    Arcs inside the merged set are removed; arcs entering it are reattached to
+    the new vertex and recorded in the provenance map; arcs leaving it keep
+    their heads and get the new vertex as tail.  The fresh vertex id is the
+    smallest integer above every existing id, so repeated contractions are
+    reproducible.  `arcs` is the currently selected subset F: its induced part
+    and minimum-weight member (ties to the smaller id) go into the record.
+    """
+    inside = frozenset(merge)
+    if not inside:
+        raise ValueError("cannot contract an empty vertex set")
+    if not inside <= graph.vertex_set:
+        bad = sorted(inside - graph.vertex_set)
+        raise ValueError(f"unknown vertex ids: {bad}")
+    selected = _check_subset(graph, arcs)
+
+    new_vertex = max(graph.vertices) + 1
+    new_vertices = [v for v in graph.vertices if v not in inside]
+    new_vertices.append(new_vertex)
+
+    new_arcs: list[tuple[int, int, int]] = []
+    entering: dict[int, tuple[int, int]] = {}
+    dropped: list[int] = []
+    for a, tail, head in graph.arcs():
+        t_in = tail in inside
+        h_in = head in inside
+        if t_in and h_in:
+            dropped.append(a)
+        elif h_in:
+            entering[a] = (tail, head)
+            new_arcs.append((a, tail, new_vertex))
+        elif t_in:
+            new_arcs.append((a, new_vertex, head))
+        else:
+            new_arcs.append((a, tail, head))
+
+    internal = selected & frozenset(dropped)
+    cheapest = None
+    if internal:
+        cheapest = min(internal, key=lambda a: (weights[a], a))
+    record = ContractionRecord(
+        merged=inside,
+        new_vertex=new_vertex,
+        entering=entering,
+        internal=internal,
+        cheapest_internal=cheapest,
+        dropped=frozenset(dropped),
+    )
+    return Digraph(new_vertices, new_arcs), record
 
 
 def _reference_select(graph, caps, wnum, oracles) -> frozenset:

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from bbranching.cli import run
+from bbranching.cli import InstanceDocument, run
+from bbranching.greedy import WeightVector, parse_rational
 
 TWO_CYCLE = {"n": 2, "arcs": [[0, 1], [1, 0]], "b": [1, 1], "w": [3, 2]}
 
@@ -258,6 +260,38 @@ def test_malformed_inputs(tmp_path, capsys):
         doc = dict(TWO_CYCLE, w=[bad, 2])
         code, _, err = invoke(["max-weight", "--input", write(tmp_path, doc, "w.json")], capsys)
         assert code == 1 and "$.w[0]" in err, bad
+
+    doc = dict(TWO_CYCLE, w=[3, True])
+    code, _, err = invoke(["max-weight", "--input", write(tmp_path, doc, "bool.json")], capsys)
+    assert code == 1 and "$.w[1]" in err and "booleans" in err
+
+    # Each of these ended in a traceback: an unwritable DOT path, nesting
+    # deeper than the JSON decoder recurses, and bytes that are not UTF-8.
+    path = write(tmp_path, TWO_CYCLE)
+    code, _, err = invoke(
+        ["max-weight", "--input", path, "--dot", str(tmp_path / "no" / "such" / "x.dot")], capsys
+    )
+    assert code == 1 and err.startswith("error: cannot write") and err.count("\n") == 1
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code, _, err = invoke(["max-weight", "--input", str(deep)], capsys)
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + json.dumps(TWO_CYCLE).encode("utf-16-le"))
+    code, _, err = invoke(["max-weight", "--input", str(utf16)], capsys)
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_integer_weights_pass_through_unparsed():
+    # The vector each document gave when every weight went through `Fraction`.
+    for w in ([3, 2], [-7, 0], [3, "1/2"], ["3/2", "2/3"], ["-4/6", "0/3"], ["5", 10**30]):
+        doc = InstanceDocument.parse(dict(TWO_CYCLE, w=w))
+        expected = WeightVector.from_values([Fraction(*parse_rational(str(v))) for v in w])
+        assert doc.weights() == expected, w
+    numerators = InstanceDocument.parse(TWO_CYCLE).weights().numerators
+    assert all(type(v) is int for v in numerators)
 
 
 def test_capacities_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):

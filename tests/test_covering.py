@@ -98,9 +98,9 @@ def test_cover_packing_size_does_not_grow_with_k(monkeypatch, pairs, caps):
     b = CapacityVector(caps)
     built = []
 
-    def counting(instance, backend=None):
+    def counting(instance):
         built.append(len(instance.demands))
-        return find_disjoint_b_branchings(instance, backend)
+        return find_disjoint_b_branchings(instance)
 
     monkeypatch.setattr("bbranching.covering.find_disjoint_b_branchings", counting)
     parts = cover_by_b_branchings(g, b, 1000)
@@ -173,14 +173,13 @@ def test_decompose_repairs_duplicate_copies():
 
 def test_peel_fallback_decomposes():
     from bbranching.covering import _peel_decomposition
-    from bbranching.packing import BruteForceSfm
 
     g = Digraph.from_pairs(
         4, [(3, 1), (3, 3), (1, 1), (2, 2), (3, 2), (2, 0), (2, 3), (3, 3), (3, 2)]
     )
     b = CapacityVector([2, 2, 2, 1])
     vector = [1, 0, 1, 1, 0, 1, 1, 0, 2]
-    parts = _peel_decomposition(g, b, 2, vector, BruteForceSfm())
+    parts = _peel_decomposition(g, b, 2, vector)
     total = Counter()
     for part in parts:
         assert is_b_branching(g, b, part)

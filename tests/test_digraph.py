@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from bbranching import Digraph, contract, in_arcs, induced_arcs, strong_components
+from bbranching import Digraph, in_arcs, induced_arcs, strong_components
 
-from helpers import random_digraph
+from helpers import contract, random_digraph
 
 
 def test_in_arcs_single_arc():
