@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence, Union
 
 from .covering import DecompositionError, check_cover_conditions, cover_by_b_branchings, integer_decompose
 from .digraph import Digraph
@@ -28,7 +28,6 @@ from .matroids import CapacityError, CapacityVector, DemandVector, partition_ora
 from .mrgreedy import MatroidAssignment, mr_max_weight_b_branching
 from .oracle import brute_exists_packing, brute_max_weight, brute_max_weight_restricted
 from .packing import (
-    Feasibility,
     PackingInstance,
     check_packing_conditions,
     exists_b_branching_with_indegree,
@@ -57,9 +56,23 @@ def _fail(path: str, message: str) -> "InputError":
 
 
 def _expect_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise _fail(path, f"expected an integer, got {value!r}")
     return value
+
+
+def _list(value: Any, path: str, message: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise _fail(path, message)
+    return value
+
+
+def _ints(values: list, path: str) -> list:
+    """`values` if every entry is an integer; else fails at the first other entry."""
+    if not all(type(v) is int for v in values):
+        for i, v in enumerate(values):
+            _expect_int(v, f"{path}[{i}]")
+    return values
 
 
 def _format_rational(value: Fraction) -> str:
@@ -68,17 +81,34 @@ def _format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_rational(value: Any, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise _fail(path, "booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
+def _rational(value: Any, path: str) -> Union[int, Fraction]:
+    """A JSON integer or rational string: an `int` when integral, else a `Fraction`."""
+    if type(value) is int:
+        return value
     if isinstance(value, str):
         try:
-            return Fraction(*parse_rational(value))
+            num, den = parse_rational(value)
         except WeightError as exc:
             raise _fail(path, str(exc)) from None
+        return num // den if num % den == 0 else Fraction(num, den)
+    if isinstance(value, bool):
+        raise _fail(path, "booleans are not rationals")
     raise _fail(path, f"expected an integer or 'num/den' string, got {value!r}")
+
+
+def _rationals(values: list, path: str) -> list:
+    """`_rational` of each value; a failing list is scanned again to name the index."""
+    try:
+        return [_rational(v, path) for v in values]
+    except InputError:
+        for i, v in enumerate(values):
+            _rational(v, f"{path}[{i}]")
+        raise
+
+
+def _bad_arc(entry: Any, path: str, n: int) -> InputError:
+    _ints(_list(entry, path, "expected a [tail, head] pair", 2), path)
+    return _fail(path, f"endpoint outside 0..{n - 1}")
 
 
 @dataclass
@@ -96,39 +126,32 @@ class InstanceDocument:
         n = _expect_int(raw.get("n"), "$.n")
         if n < 0:
             raise _fail("$.n", "vertex count must be nonnegative")
-        arcs = raw.get("arcs")
-        if not isinstance(arcs, list):
-            raise _fail("$.arcs", "expected a list of [tail, head] pairs")
+        arcs = _list(raw.get("arcs"), "$.arcs", "expected a list of [tail, head] pairs")
         pairs = []
         for i, entry in enumerate(arcs):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise _fail(f"$.arcs[{i}]", "expected a [tail, head] pair")
-            tail = _expect_int(entry[0], f"$.arcs[{i}][0]")
-            head = _expect_int(entry[1], f"$.arcs[{i}][1]")
-            if not (0 <= tail < n and 0 <= head < n):
-                raise _fail(f"$.arcs[{i}]", f"endpoint outside 0..{n - 1}")
-            pairs.append((tail, head))
+            if isinstance(entry, list) and len(entry) == 2:
+                tail, head = entry
+                if type(tail) is int and type(head) is int and 0 <= tail < n and 0 <= head < n:
+                    pairs.append((tail, head))
+                    continue
+            raise _bad_arc(entry, f"$.arcs[{i}]", n)
         # Checked before the graph is built, so that a short document with a
         # huge n is rejected without allocating n vertices.
-        b = raw.get("b")
-        if not isinstance(b, list) or len(b) != n:
-            raise _fail("$.b", f"expected a list of {n} capacities")
+        b = _list(raw.get("b"), "$.b", f"expected a list of {n} capacities", n)
         try:
-            capacities = CapacityVector([_expect_int(c, f"$.b[{i}]") for i, c in enumerate(b)])
+            capacities = CapacityVector(_ints(b, "$.b"))
         except CapacityError as exc:
             raise _fail("$.b", str(exc)) from None
         return cls(raw, Digraph.from_pairs(n, pairs), capacities)
 
     def weights(self) -> WeightVector:
-        w = self.raw.get("w")
-        if not isinstance(w, list) or len(w) != self.graph.arc_count:
-            raise _fail("$.w", f"expected a list of {self.graph.arc_count} weights")
-        # JSON integers pass through, so integer documents take the all-int
-        # path of `from_values`; only the other values are parsed here.
-        values = [
-            v if type(v) is int else _parse_rational(v, f"$.w[{i}]") for i, v in enumerate(w)
-        ]
-        return WeightVector.from_values(values)
+        m = self.graph.arc_count
+        w = _list(self.raw.get("w"), "$.w", f"expected a list of {m} weights", m)
+        try:
+            return WeightVector.from_values(w)
+        except WeightError:
+            _rationals(w, "$.w")
+            raise
 
     def parts_count(self) -> int:
         k = _expect_int(self.raw.get("k"), "$.k")
@@ -138,36 +161,30 @@ class InstanceDocument:
 
     def _demand_from(self, values: Any, path: str) -> DemandVector:
         n = self.graph.vertex_count
-        if not isinstance(values, list) or len(values) != n:
-            raise _fail(path, f"expected a list of {n} demands")
+        values = _list(values, path, f"expected a list of {n} demands", n)
         try:
-            demand = DemandVector([_expect_int(c, f"{path}[{i}]") for i, c in enumerate(values)])
+            demand = DemandVector(_ints(values, path))
             demand.validate_against(self.capacities)
         except CapacityError as exc:
             raise _fail(path, str(exc)) from None
         return demand
 
     def demands(self, k: int) -> tuple[DemandVector, ...]:
-        b_i = self.raw.get("b_i")
-        if not isinstance(b_i, list) or len(b_i) != k:
-            raise _fail("$.b_i", f"expected {k} demand vectors")
+        b_i = _list(self.raw.get("b_i"), "$.b_i", f"expected {k} demand vectors", k)
         return tuple(self._demand_from(values, f"$.b_i[{i}]") for i, values in enumerate(b_i))
 
     def demand(self) -> DemandVector:
         return self._demand_from(self.raw.get("b_prime"), "$.b_prime")
 
     def multiplicity(self) -> list[int]:
-        x = self.raw.get("x")
         m = self.graph.arc_count
-        if not isinstance(x, list) or len(x) != m:
-            raise _fail("$.x", f"expected a list of {m} multiplicities")
-        return [_expect_int(c, f"$.x[{i}]") for i, c in enumerate(x)]
+        x = _list(self.raw.get("x"), "$.x", f"expected a list of {m} multiplicities", m)
+        return _ints(x, "$.x")
 
     def matroid_assignment(self) -> MatroidAssignment:
-        specs = self.raw.get("matroids")
         n = self.graph.vertex_count
-        if not isinstance(specs, list) or len(specs) != n:
-            raise _fail("$.matroids", f"expected a list of {n} oracle specs")
+        specs = self.raw.get("matroids")
+        _list(specs, "$.matroids", f"expected a list of {n} oracle specs", n)
         oracles = {}
         for v, spec in enumerate(specs):
             path = f"$.matroids[{v}]"
@@ -181,19 +198,16 @@ class InstanceDocument:
             if kind == "uniform":
                 oracles[v] = uniform_oracle(ground, self.capacities[v])
             elif kind == "partition":
-                blocks = spec.get("blocks")
-                caps = spec.get("caps")
-                if not isinstance(blocks, list) or not isinstance(caps, list):
-                    raise _fail(path, "partition oracle needs 'blocks' and 'caps' lists")
+                need = "partition oracle needs 'blocks' and 'caps' lists"
+                blocks = _list(spec.get("blocks"), path, need)
+                caps = _list(spec.get("caps"), path, need)
                 for i, blk in enumerate(blocks):
-                    if not isinstance(blk, list):
-                        raise _fail(f"{path}.blocks[{i}]", "expected a list of arc ids")
+                    _list(blk, f"{path}.blocks[{i}]", "expected a list of arc ids")
+                for i, blk in enumerate(blocks):
+                    _ints(blk, f"{path}.blocks[{i}]")
+                _ints(caps, f"{path}.caps")
                 try:
-                    oracles[v] = partition_oracle(
-                        ground,
-                        [[_expect_int(a, f"{path}.blocks") for a in blk] for blk in blocks],
-                        [_expect_int(c, f"{path}.caps") for c in caps],
-                    )
+                    oracles[v] = partition_oracle(ground, blocks, caps)
                 except ValueError as exc:
                     raise _fail(path, str(exc)) from None
             else:
@@ -206,10 +220,8 @@ class InstanceDocument:
         return assignment
 
     def solution(self) -> frozenset:
-        arcs = self.raw.get("solution")
-        if not isinstance(arcs, list):
-            raise _fail("$.solution", "expected a list of arc ids")
-        ids = frozenset(_expect_int(a, f"$.solution[{i}]") for i, a in enumerate(arcs))
+        arcs = _list(self.raw.get("solution"), "$.solution", "expected a list of arc ids")
+        ids = frozenset(_ints(arcs, "$.solution"))
         if not ids <= self.graph.arc_id_set:
             raise _fail("$.solution", "unknown arc ids")
         return ids
@@ -220,37 +232,23 @@ class InstanceDocument:
             raise _fail("$.certificate", "expected an object")
         n = self.graph.vertex_count
         m = self.graph.arc_count
-        pv = obj.get("p_vertex")
-        if not isinstance(pv, list) or len(pv) != n:
-            raise _fail("$.certificate.p_vertex", f"expected {n} values")
-        q = obj.get("q")
-        if not isinstance(q, list) or len(q) != m:
-            raise _fail("$.certificate.q", f"expected {m} values")
-        sets = obj.get("p_sets", [])
-        if not isinstance(sets, list):
-            raise _fail("$.certificate.p_sets", "expected a list")
+        pv = _list(obj.get("p_vertex"), "$.certificate.p_vertex", f"expected {n} values", n)
+        q = _list(obj.get("q"), "$.certificate.q", f"expected {m} values", m)
+        sets = _list(obj.get("p_sets", []), "$.certificate.p_sets", "expected a list")
         parsed_sets = []
         for i, entry in enumerate(sets):
             path = f"$.certificate.p_sets[{i}]"
             if not isinstance(entry, dict) or "X" not in entry or "p" not in entry:
                 raise _fail(path, "expected an object with 'X' and 'p'")
-            if not isinstance(entry["X"], list):
-                raise _fail(f"{path}.X", "expected a list of vertex ids")
-            members = frozenset(_expect_int(v, f"{path}.X") for v in entry["X"])
-            parsed_sets.append((members, _parse_rational(entry["p"], f"{path}.p")))
-        q_map = {}
-        for a, value in enumerate(q):
-            parsed = _parse_rational(value, f"$.certificate.q[{a}]")
-            if parsed:
-                q_map[a] = parsed
+            members = _list(entry["X"], f"{path}.X", "expected a list of vertex ids")
+            _ints(members, f"{path}.X")
+            parsed_sets.append((frozenset(members), _rational(entry["p"], f"{path}.p")))
+        q_values = _rationals(q, "$.certificate.q")
         return DualCertificate(
-            p_vertex={
-                v: _parse_rational(pv[v], f"$.certificate.p_vertex[{v}]")
-                for v in range(n)
-            },
+            p_vertex=dict(enumerate(_rationals(pv, "$.certificate.p_vertex"))),
             p_sets=tuple(parsed_sets),
-            q=q_map,
-            objective=_parse_rational(obj.get("objective"), "$.certificate.objective"),
+            q={a: value for a, value in enumerate(q_values) if value},
+            objective=_rational(obj.get("objective"), "$.certificate.objective"),
         )
 
 
@@ -264,14 +262,6 @@ def _certificate_json(cert: DualCertificate, n: int, m: int) -> dict:
         "q": [_format_rational(cert.q.get(a, zero)) for a in range(m)],
         "objective": _format_rational(cert.objective),
     }
-
-
-def _witness_json(feasibility: Feasibility) -> dict:
-    if feasibility.vertex is not None:
-        return {"v": feasibility.vertex}
-    if feasibility.subset is not None:
-        return {"X": sorted(feasibility.subset)}
-    return {}
 
 
 def _write_dot(doc: InstanceDocument, path: str) -> None:
@@ -330,7 +320,7 @@ def _cmd_feasible_indegree(doc: InstanceDocument, use_oracle: bool) -> tuple[int
         if brute_exists_packing(instance) != bool(feasibility):
             raise RuntimeError("oracle disagreement on feasibility")
     if not feasibility:
-        return 2, {"feasible": False, "violated": _witness_json(feasibility)}
+        return 2, {"feasible": False, "violated": feasibility.witness()}
     return 0, {"feasible": True, "arcs": sorted(arcs)}
 
 
@@ -346,7 +336,7 @@ def _cmd_pack(doc: InstanceDocument, use_oracle: bool) -> tuple[int, dict]:
         if brute_exists_packing(instance) != bool(feasibility):
             raise RuntimeError("oracle disagreement on packing feasibility")
     if not feasibility:
-        return 2, {"feasible": False, "violated": _witness_json(feasibility)}
+        return 2, {"feasible": False, "violated": feasibility.witness()}
     result = find_disjoint_b_branchings(instance)
     return 0, {"branchings": [sorted(part) for part in result.branchings]}
 
@@ -356,7 +346,7 @@ def _cmd_pack_min_weight(doc: InstanceDocument, use_oracle: bool) -> tuple[int, 
     weights = doc.weights()
     feasibility = check_packing_conditions(instance)
     if not feasibility:
-        return 2, {"feasible": False, "violated": _witness_json(feasibility)}
+        return 2, {"feasible": False, "violated": feasibility.witness()}
     result = min_weight_disjoint_b_branchings(instance, weights)
     total = sum((weights.value(part) for part in result.branchings), Fraction(0))
     return 0, {
@@ -369,7 +359,7 @@ def _cmd_cover(doc: InstanceDocument, use_oracle: bool) -> tuple[int, dict]:
     k = doc.parts_count()
     feasibility = check_cover_conditions(doc.graph, doc.capacities, k)
     if not feasibility:
-        return 2, {"feasible": False, "violated": _witness_json(feasibility)}
+        return 2, {"feasible": False, "violated": feasibility.witness()}
     parts = cover_by_b_branchings(doc.graph, doc.capacities, k)
     return 0, {"branchings": [sorted(part.arcs) for part in parts]}
 

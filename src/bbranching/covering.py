@@ -242,12 +242,7 @@ def integer_decompose(
     expanded, origin = _multiplicity_graph(graph, values)
     feasibility = check_cover_conditions(expanded, capacities, k)
     if not feasibility:
-        witness: dict = {}
-        if feasibility.vertex is not None:
-            witness["v"] = feasibility.vertex
-        if feasibility.subset is not None:
-            witness["X"] = sorted(feasibility.subset)
-        raise DecompositionError("vector lies outside k times the polytope", witness)
+        raise DecompositionError("vector lies outside k times the polytope", feasibility.witness())
 
     copy_parts = _augmented_cover_parts(expanded, capacities, k)
     counts = [Counter(origin[c] for c in part) for part in copy_parts]

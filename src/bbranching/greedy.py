@@ -137,7 +137,8 @@ class DualCertificate:
     `p_sets` holds vertex sets of the original graph (one per contracted
     component, expanded back to original vertices) with strictly positive
     potential; the family is laminar.  `q` stores only nonzero entries.
-    All values are Fractions, integral whenever the weights were integral.
+    The solver's values are Fractions, integral whenever the weights were
+    integral; values parsed by the CLI are `int` when integral.
     """
 
     p_vertex: Mapping[int, Fraction]

@@ -39,6 +39,14 @@ class Feasibility:
     def __bool__(self) -> bool:
         return self.ok
 
+    def witness(self) -> dict:
+        """The witness as JSON: {"v": vertex}, {"X": sorted subset}, or {}."""
+        if self.vertex is not None:
+            return {"v": self.vertex}
+        if self.subset is not None:
+            return {"X": sorted(self.subset)}
+        return {}
+
 
 @dataclass(frozen=True)
 class PackingInstance:

@@ -331,3 +331,133 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["weight"] == "3"
+
+
+PACK = {"n": 2, "arcs": [[0, 1], [1, 0]], "b": [1, 1], "k": 2, "b_i": [[0, 1], [1, 0]]}
+VERIFY = dict(
+    TWO_CYCLE,
+    solution=[0],
+    certificate={"p_vertex": [0, 1], "p_sets": [{"X": [0, 1], "p": "2"}], "q": [0, 0], "objective": 3},
+)
+MATROIDS = dict(
+    TWO_CYCLE,
+    matroids=[None, {"kind": "partition", "blocks": [[0]], "caps": [1]}],
+)
+
+
+def _cert(**fields):
+    return dict(VERIFY, certificate=dict(VERIFY["certificate"], **fields))
+
+
+def _spec(**fields):
+    return dict(MATROIDS, matroids=[None, dict(MATROIDS["matroids"][1], **fields)])
+
+
+# One row per validation site: an accepted document with one field made
+# malformed, and the whole error line it must give.
+ERROR_LINES = [
+    ("max-weight", [TWO_CYCLE], "$: instance document must be a JSON object"),
+    ("max-weight", dict(TWO_CYCLE, n="2"), "$.n: expected an integer, got '2'"),
+    ("max-weight", dict(TWO_CYCLE, n=-1), "$.n: vertex count must be nonnegative"),
+    ("max-weight", dict(TWO_CYCLE, arcs={}), "$.arcs: expected a list of [tail, head] pairs"),
+    ("max-weight", dict(TWO_CYCLE, arcs=[[0, 1], [1]]), "$.arcs[1]: expected a [tail, head] pair"),
+    (
+        "max-weight",
+        dict(TWO_CYCLE, arcs=[[0, 1], [1, None]]),
+        "$.arcs[1][1]: expected an integer, got None",
+    ),
+    ("max-weight", dict(TWO_CYCLE, arcs=[[0, 1], [2, 0]]), "$.arcs[1]: endpoint outside 0..1"),
+    ("max-weight", dict(TWO_CYCLE, b=[1]), "$.b: expected a list of 2 capacities"),
+    ("max-weight", dict(TWO_CYCLE, b=[1, 1.5]), "$.b[1]: expected an integer, got 1.5"),
+    ("max-weight", dict(TWO_CYCLE, b=[1, 0]), "$.b: capacity at vertex 1 must be >= 1, got 0"),
+    ("max-weight", dict(TWO_CYCLE, w=[3]), "$.w: expected a list of 2 weights"),
+    (
+        "max-weight",
+        dict(TWO_CYCLE, w=[3, 2.5]),
+        "$.w[1]: expected an integer or 'num/den' string, got 2.5",
+    ),
+    ("max-weight", dict(TWO_CYCLE, w=["1/2", "2/0"]), "$.w[1]: cannot parse rational '2/0'"),
+    ("pack", dict(PACK, k="2"), "$.k: expected an integer, got '2'"),
+    ("pack", dict(PACK, k=0), "$.k: k must be at least 1"),
+    ("pack", dict(PACK, b_i=[[0, 1]]), "$.b_i: expected 2 demand vectors"),
+    ("pack", dict(PACK, b_i=[[0, 1], [0]]), "$.b_i[1]: expected a list of 2 demands"),
+    ("pack", dict(PACK, b_i=[[0, 1], [0, "1"]]), "$.b_i[1][1]: expected an integer, got '1'"),
+    (
+        "pack",
+        dict(PACK, b_i=[[0, 1], [0, -1]]),
+        "$.b_i[1]: demand at vertex 1 must be >= 0, got -1",
+    ),
+    ("decompose", dict(PACK, x=[1]), "$.x: expected a list of 2 multiplicities"),
+    ("decompose", dict(PACK, x=[1, True]), "$.x[1]: expected an integer, got True"),
+    ("verify", dict(VERIFY, solution=0), "$.solution: expected a list of arc ids"),
+    ("verify", dict(VERIFY, solution=[0, "1"]), "$.solution[1]: expected an integer, got '1'"),
+    ("verify", dict(VERIFY, solution=[0, 2]), "$.solution: unknown arc ids"),
+    ("verify", dict(VERIFY, certificate=[]), "$.certificate: expected an object"),
+    ("verify", _cert(p_vertex=[0]), "$.certificate.p_vertex: expected 2 values"),
+    ("verify", _cert(p_vertex=[0, "x"]), "$.certificate.p_vertex[1]: cannot parse rational 'x'"),
+    ("verify", _cert(q=[1, 0, 0]), "$.certificate.q: expected 2 values"),
+    (
+        "verify",
+        _cert(q=[1, None]),
+        "$.certificate.q[1]: expected an integer or 'num/den' string, got None",
+    ),
+    ("verify", _cert(p_sets={}), "$.certificate.p_sets: expected a list"),
+    (
+        "verify",
+        _cert(p_sets=[{"X": [0, 1]}]),
+        "$.certificate.p_sets[0]: expected an object with 'X' and 'p'",
+    ),
+    (
+        "verify",
+        _cert(p_sets=[{"X": 0, "p": 1}]),
+        "$.certificate.p_sets[0].X: expected a list of vertex ids",
+    ),
+    (
+        "verify",
+        _cert(p_sets=[{"X": [0, "1"], "p": 1}]),
+        "$.certificate.p_sets[0].X[1]: expected an integer, got '1'",
+    ),
+    (
+        "verify",
+        _cert(p_sets=[{"X": [0, 1], "p": True}]),
+        "$.certificate.p_sets[0].p: booleans are not rationals",
+    ),
+    (
+        "verify",
+        _cert(objective="3e0"),
+        "$.certificate.objective: exponent forms are not accepted: '3e0'",
+    ),
+    (
+        "mr-max-weight",
+        dict(MATROIDS, matroids=[None]),
+        "$.matroids: expected a list of 2 oracle specs",
+    ),
+    (
+        "mr-max-weight",
+        dict(MATROIDS, matroids=[None, 1]),
+        "$.matroids[1]: expected null or an object",
+    ),
+    ("mr-max-weight", _spec(kind="graphic"), "$.matroids[1]: unknown oracle kind 'graphic'"),
+    (
+        "mr-max-weight",
+        _spec(caps=None),
+        "$.matroids[1]: partition oracle needs 'blocks' and 'caps' lists",
+    ),
+    ("mr-max-weight", _spec(blocks=[0]), "$.matroids[1].blocks[0]: expected a list of arc ids"),
+    (
+        "mr-max-weight",
+        _spec(blocks=[[1, "x"]]),
+        "$.matroids[1].blocks[0][1]: expected an integer, got 'x'",
+    ),
+    ("mr-max-weight", _spec(caps=[True]), "$.matroids[1].caps[0]: expected an integer, got True"),
+    ("mr-max-weight", _spec(caps=[1, 1]), "$.matroids[1]: one cap per block required"),
+    ("mr-max-weight", _spec(caps=[0]), "$.matroids: oracle rank mismatch at vertex 1: 0 != 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, line", ERROR_LINES, ids=[line.split(":")[0] for _, _, line in ERROR_LINES]
+)
+def test_error_lines(tmp_path, capsys, command, doc, line):
+    code, out, err = invoke([command, "--input", write(tmp_path, doc), "--quiet"], capsys)
+    assert (code, out, err) == (1, "", f"error: {line}\n")

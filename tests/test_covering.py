@@ -187,6 +187,37 @@ def test_peel_fallback_decomposes():
     assert all(total[a] == vector[a] for a in g.arc_ids)
 
 
+def test_decompose_falls_back_to_peeling(monkeypatch):
+    # Found by a seeded random search: the repair pass gives up on this
+    # instance, so `integer_decompose` must reach the peeling fallback.
+    import bbranching.covering as covering
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(covering, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(covering, name, wrapper)
+
+    counted("_try_repair_duplicates")
+    counted("_peel_decomposition")
+    g = Digraph.from_pairs(2, [(0, 1), (1, 1), (1, 0), (1, 0), (1, 0), (1, 0), (1, 1)])
+    b = CapacityVector([2, 3])
+    vector = [3, 1, 1, 3, 1, 0, 3]
+    parts = integer_decompose(g, b, 3, vector)
+    assert calls == {"_try_repair_duplicates": 1, "_peel_decomposition": 1}
+    assert len(parts) == 3
+    total = Counter()
+    for part in parts:
+        assert is_b_branching(g, b, part)
+        total.update(part)
+    assert all(total[a] == vector[a] for a in g.arc_ids)
+
+
 def test_decompose_round_trip_random_sums():
     rng = random.Random(303)
     for _ in range(150):
