@@ -460,6 +460,10 @@ def run(argv: Sequence[str]) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, MemoryError):
+        # A cover or decomposition lists all k parts, most of them empty.
+        print(f"error: {args.command}: the result does not fit in memory", file=sys.stderr)
+        return 1
 
     print(json.dumps(payload, sort_keys=True, indent=2))
     return code

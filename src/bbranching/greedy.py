@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,9 +207,11 @@ def max_weight_b_branching(
     only ever moves into a heap that has received at least twice as many
     arcs, so selection and merging take O(|A| log^2 |A|) over a run; each
     phase's search for tight components walks only the selected arcs
-    behind its new vertices, at most O(|V| + |A|).  The dual replay sorts
-    each head's arc weights once, then moves each arc once between two
-    sorted lists and spends O(b(v)) per vertex of each contracted set.
+    behind its new vertices, at most O(|V| + |A|).  The engine records each
+    contracted set's potential, so the dual replay makes one enclosure pass
+    (each arc moving between lists merged smaller into larger, each set
+    expanded once, O(|A| log |A|) plus the total set size) and then one
+    selection per vertex, a sort of its entering arcs' charged weights.
     """
     capacities.check_domain(graph)
     _require_dense_arcs(graph)
@@ -221,24 +222,6 @@ def max_weight_b_branching(
     return BBranching.of(graph, capacities, final), certificate
 
 
-def _kth_largest(uncharged: list, charged: list, shift: int, k: int) -> int:
-    """k-th largest (1-indexed) of `uncharged` and of `charged` lowered by
-    `shift`, both sorted ascending; 0 when fewer than k values exist."""
-    i, j = len(uncharged), len(charged)
-    if i + j < k:
-        return 0
-    while True:
-        if j and (not i or charged[j - 1] - shift > uncharged[i - 1]):
-            j -= 1
-            value = charged[j] - shift
-        else:
-            i -= 1
-            value = uncharged[i]
-        k -= 1
-        if not k:
-            return value
-
-
 def dual_from_run(
     history: Sequence[tuple[ContractionStep, ...]],
     graph: Digraph,
@@ -247,18 +230,14 @@ def dual_from_run(
 ) -> DualCertificate:
     """Replay a completed run's contraction history into a dual certificate.
 
-    Each contracted component, expanded back to original vertices, gets the
-    largest potential two kinds of margins allow: how far each arc entering
-    it sits below the going rate at the arc's original head (the b-th
-    largest weight there, after the charges of earlier sets), and the
-    working weight of its cheapest selected arc.  A set's potential is
-    charged to every arc it encloses.  An arc entering a component has never
-    been charged: an earlier set that holds its head lies inside the
-    component, so it misses the tail.  So at each head the uncharged arcs
-    form one list sorted once, and the charged ones another under one
-    running offset.  Vertex potentials are the final going rates; arc
-    slacks absorb the rest, each arc's charge summed once, top-down over
-    the laminar forest of the contracted sets.
+    Each contracted component, expanded back to original vertices, takes the
+    potential the phase engine recorded for it, and charges it to every arc
+    it encloses.  One pass over the history finds, per arc, the first set
+    that encloses it; the arc's charge is that set's potential plus those of
+    every set above it in the laminar forest, summed top-down.  A vertex
+    potential is then one selection per vertex: the b(v)-th largest of
+    weight less charge over the kept arcs entering it, or 0 when that is
+    negative or there are fewer.  Arc slacks absorb the rest.
     """
     wv = WeightVector.coerce(weights, graph.arc_count)
     den, nums = wv.denominator, wv.numerators
@@ -266,118 +245,70 @@ def dual_from_run(
     steps = [step for phase in history for step in phase]
     link = {m: step.new_vertex for step in steps for m in step.merged}
 
-    # Per original head, the weights of the arcs the solver keeps (negative
-    # ones never enter its working graph), ascending: in `uncharged` until a
-    # set encloses the arc, then in `charged` as weight plus the head's
-    # running charge `total` at that moment, so that its charged weight is
-    # the entry minus the current `total`.  A going rate reads at most the
-    # top b(v) entries of each list, so `charged` keeps only those.
-    uncharged: dict[int, list[int]] = {}
-    charged: dict[int, list[int]] = {}
-    total = dict.fromkeys(graph.vertices, 0)
-    # The kept arcs between contracted vertices, as (arc, tail, head) at
-    # both ends; a contraction finds the arcs it encloses by scanning every
-    # member's list but the longest, which the new vertex inherits.
+    # The kept arcs (negative ones never enter the solver's working graph)
+    # between contracted vertices, as (arc, tail, head) at both ends; a
+    # contraction finds the arcs it encloses by scanning every member's list
+    # but the longest, which the new vertex inherits.
     touching: dict[int, list] = {v: [] for v in graph.vertices if v in link}
-    loops: dict[int, list] = {}
-    for v in graph.vertices:
-        kept = [a for a in graph.in_arc_ids(v) if nums[a] >= 0]
-        uncharged[v] = sorted([nums[a] for a in kept])
-        charged[v] = []
-        if v in touching:
-            for a in kept:
-                t = graph.tail(a)
-                if t == v:
-                    loops.setdefault(v, []).append((a, v, v))
-                elif t in touching:
-                    arc = (a, t, v)
-                    touching[t].append(arc)
-                    touching[v].append(arc)
+    loops: dict[int, list[int]] = {}
+    for a, t, h in graph.arcs():
+        if nums[a] < 0 or h not in touching:
+            continue
+        if t == h:
+            loops.setdefault(h, []).append(a)
+        elif t in touching:
+            arc = (a, t, h)
+            touching[t].append(arc)
+            touching[h].append(arc)
 
     owner = {v: v for v in touching}
     expansion: dict[int, list[int]] = {}
     enclosed_by: dict[int, int] = {}  # arc -> the contraction that enclosed it
-    positive: dict[int, int] = {}
     sets: list[tuple[frozenset, int]] = []
-
     for step in steps:
         z = step.new_vertex
         inside: list[int] = []
-        enclosed: list[tuple[int, int, int]] = []
         lists = []
         for m in step.merged:
             if m in expansion:
                 inside.extend(expansion.pop(m))
             else:
                 inside.append(m)
-                enclosed.extend(loops.get(m, ()))
+                for a in loops.get(m, ()):
+                    enclosed_by[a] = z
             lists.append(touching.pop(m))
         for v in inside:
             owner[v] = z
-        # Going rates at the heads inside, before this set charges anything.
-        rates = {
-            y: _kth_largest(uncharged[y], charged[y], total[y], caps[y])
-            for y in inside
-            if uncharged[y]
-        }
         lists.sort(key=len)
         touching[z] = inherited = lists.pop()
         for arcs in lists:
             for arc in arcs:
-                if owner[arc[1]] != z or owner[arc[2]] != z:
+                a, t, h = arc
+                if owner[t] != z or owner[h] != z:
                     inherited.append(arc)
-                elif arc[0] not in enclosed_by:
-                    enclosed_by[arc[0]] = z
-                    enclosed.append(arc)
-        for a, _, h in enclosed:
-            enclosed_by[a] = z
-            w = nums[a]
-            free = uncharged[h]
-            del free[bisect_left(free, w)]
-            top = charged[h]
-            key = w + total[h]
-            if len(top) < caps[h]:
-                insort(top, key)
-            elif key > top[0]:
-                del top[0]
-                insort(top, key)
-
-        # Entering arcs are uncharged, so the tightest margin at a head is
-        # against its heaviest arc still uncharged.
-        candidates = [step.anchor_weight]
-        for y, rate in rates.items():
-            free = uncharged[y]
-            if free:
-                candidates.append(rate - free[-1])
-        potential = min(candidates)
-        if potential:
-            for y in inside:
-                total[y] += potential
-        if potential > 0:
-            sets.append((frozenset(inside), potential))
-        positive[z] = max(potential, 0)
+                elif a not in enclosed_by:
+                    enclosed_by[a] = z
+        if step.potential:
+            sets.append((frozenset(inside), step.potential))
         expansion[z] = inside
 
-    # An arc's charge is the sum of the positive potentials of the sets
-    # enclosing it: the set that enclosed it first and every set above.
+    # An arc's charge is the potential of the set that enclosed it first
+    # plus those of every set above that one.
     above: dict[int, int] = {}
     for step in reversed(steps):
         z = step.new_vertex
-        above[z] = positive[z] + above.get(link.get(z), 0)
+        above[z] = step.potential + above.get(link.get(z), 0)
+    net = [w - above[enclosed_by[a]] if a in enclosed_by else w for a, w in enumerate(nums)]
 
-    p_vertex_num = {
-        v: max(0, _kth_largest(uncharged[v], charged[v], total[v], caps[v]))
-        for v in graph.vertices
-    }
+    p_vertex_num: dict[int, int] = {}
     q_num: dict[int, int] = {}
     for v in graph.vertices:
-        p = p_vertex_num[v]
-        for a in graph.in_arc_ids(v):
-            slack = nums[a] - p
-            if slack > 0 and a in enclosed_by:
-                slack -= above[enclosed_by[a]]
-            if slack > 0:
-                q_num[a] = slack
+        entering = graph.in_arc_ids(v)
+        kept = sorted([net[a] for a in entering if nums[a] >= 0])
+        p = p_vertex_num[v] = max(0, kept[-caps[v]]) if len(kept) >= caps[v] else 0
+        for a in entering:
+            if net[a] > p:
+                q_num[a] = net[a] - p
 
     objective_num = (
         sum(caps[v] * p_vertex_num[v] for v in graph.vertices)

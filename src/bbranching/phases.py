@@ -4,7 +4,9 @@ Each phase picks, per vertex, the heaviest entering arcs within capacity.
 Strong components whose induced selection saturates the capacity sum are
 contracted into one vertex of capacity one, the arcs entering it get an
 exchange adjustment, and the phases repeat.  Unwinding the contractions
-yields the solution; the contraction history feeds the dual replay.
+yields the solution.  The contraction history also records each contracted
+set's dual potential, its cheapest internal arc's working weight less that
+of the arc selected into the new vertex, so the dual replay only charges it.
 
 The engine is incremental, after Tarjan's efficient form of Edmonds'
 branching algorithm.  A contraction changes only the arcs entering the new
@@ -34,9 +36,11 @@ class ContractionStep(NamedTuple):
 
     `merged` holds the contracted vertices (their ids at the time, sorted)
     and `new_vertex` the fresh capacity-one vertex that replaced them;
-    `internal` holds the selected arcs among them, `cheapest_internal` the
-    lightest of those (ties to the smaller id) and `anchor_weight` its
-    working weight.  `replacement` maps each member to the arc that leaves
+    `internal` holds the selected arcs among them and `cheapest_internal`
+    the lightest of those (ties to the smaller id).  `potential` is the
+    set's dual potential, never negative: the working weight of
+    `cheapest_internal` less that of the arc selected into the new vertex
+    (0 when none is).  `replacement` maps each member to the arc that leaves
     the solution when the arc kept into the new vertex enters through that
     member: the member's cheapest selected arc under the capacity rule, or,
     for a member with a matroid oracle, a map from each arc entering it to
@@ -47,7 +51,7 @@ class ContractionStep(NamedTuple):
     new_vertex: int
     internal: frozenset
     cheapest_internal: int
-    anchor_weight: int
+    potential: int
     replacement: Mapping[int, Union[int, Mapping[int, int]]]
 
 
@@ -181,18 +185,23 @@ def _run_phases(
         pools[z] = (heap, off, size + len(added))
         for y in members:
             del selected_at[y]
-        return ContractionStep(tuple(members), z, frozenset(internal), cheapest, anchor, replacement)
 
-    def reselect(z: int) -> None:
-        """The capacity-one choice at a new vertex: its heaviest positive arc."""
-        heap, off, _ = pools[z]
+        # The capacity-one choice at the new vertex: its heaviest positive
+        # entering arc.  That arc entered through a member that passed it
+        # over, so its working weight is at most the anchor.
         while heap and find(tail(heap[0][1])) == z:
             heappop(heap)
         selected_at[z] = []
+        entering = 0
         if heap and off - heap[0][0] > 0:
             key, a = heap[0]
             selected_at[z].append(a)
-            weight_of[a] = off - key
+            entering = weight_of[a] = off - key
+        if entering > anchor:
+            raise AssertionError(f"negative potential {anchor - entering} at contraction {z}")
+        return ContractionStep(
+            tuple(members), z, frozenset(internal), cheapest, anchor - entering, replacement
+        )
 
     def tight_through(fresh: list[int]) -> list[frozenset]:
         """Tight components containing a new vertex; a later phase has no
@@ -258,10 +267,7 @@ def _run_phases(
             raise AssertionError(
                 "phase count exceeded its bound; contraction is not making progress"
             )
-        fresh = [step.new_vertex for step in steps]
-        for z in fresh:
-            reselect(z)
-        tight = tight_through(fresh)
+        tight = tight_through([step.new_vertex for step in steps])
     history.append(())
 
     # Unwind top-down.  The arc kept into a contracted vertex also enters

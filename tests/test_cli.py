@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bbranching import covering
 from bbranching.cli import InstanceDocument, run
 from bbranching.greedy import WeightVector, parse_rational
 
@@ -452,6 +453,9 @@ ERROR_LINES = [
     ("mr-max-weight", _spec(caps=[True]), "$.matroids[1].caps[0]: expected an integer, got True"),
     ("mr-max-weight", _spec(caps=[1, 1]), "$.matroids[1]: one cap per block required"),
     ("mr-max-weight", _spec(caps=[0]), "$.matroids: oracle rank mismatch at vertex 1: 0 != 1"),
+    # k parts cannot be listed when k does not fit in an index.
+    ("cover", dict(PACK, k=10**30), "cover: the result does not fit in memory"),
+    ("decompose", dict(PACK, k=10**30, x=[1, 0]), "decompose: the result does not fit in memory"),
 ]
 
 
@@ -461,3 +465,15 @@ ERROR_LINES = [
 def test_error_lines(tmp_path, capsys, command, doc, line):
     code, out, err = invoke([command, "--input", write(tmp_path, doc), "--quiet"], capsys)
     assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("command", ["cover", "decompose"])
+def test_parts_out_of_memory(tmp_path, capsys, monkeypatch, command):
+    # Stands in for the list of 10**10 parts, which would not fit.
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(covering, "_augmented_cover_parts", out_of_memory)
+    path = write(tmp_path, dict(PACK, k=10**10, x=[1, 0]))
+    code, out, err = invoke([command, "--input", path, "--quiet"], capsys)
+    assert (code, out, err) == (1, "", f"error: {command}: the result does not fit in memory\n")
