@@ -8,7 +8,7 @@ integer polytope points, and generalizes the per-vertex capacity to an
 arbitrary matroid, all cross-checkable against brute-force oracles.
 """
 
-from .digraph import ArcSubset, Digraph, in_arcs, induced_arcs, strong_components
+from .digraph import Digraph, in_arcs, induced_arcs, strong_components
 from .matroids import (
     BBranching,
     CapacityVector,
@@ -61,7 +61,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "ArcSubset",
     "BBranching",
     "CapacityVector",
     "CertificateCheck",

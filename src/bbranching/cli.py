@@ -35,18 +35,6 @@ from .packing import (
     min_weight_disjoint_b_branchings,
 )
 
-COMMANDS = (
-    "max-weight",
-    "verify",
-    "feasible-indegree",
-    "pack",
-    "pack-min-weight",
-    "cover",
-    "decompose",
-    "mr-max-weight",
-)
-
-
 class InputError(ValueError):
     """Malformed instance document; message carries a JSON path."""
 
@@ -222,7 +210,7 @@ class InstanceDocument:
     def solution(self) -> frozenset:
         arcs = _list(self.raw.get("solution"), "$.solution", "expected a list of arc ids")
         ids = frozenset(_ints(arcs, "$.solution"))
-        if not ids <= self.graph.arc_id_set:
+        if not all(map(self.graph.arc_ids.__contains__, ids)):
             raise _fail("$.solution", "unknown arc ids")
         return ids
 
@@ -402,6 +390,7 @@ _HANDLERS = {
     "decompose": _cmd_decompose,
     "mr-max-weight": _cmd_mr_max_weight,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

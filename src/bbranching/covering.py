@@ -66,14 +66,11 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
     that many and padded with empty parts: the work does not grow with k.
     """
     packed = min(k, max(1, graph.arc_count))
-    root = max(graph.vertices) + 1 if graph.vertex_count else 0
-    arcs = [(a, t, h) for a, t, h in graph.arcs()]
-    next_id = graph.arc_count
+    root = graph.vertex_count
+    pairs = [(t, h) for _, t, h in graph.arcs()]
     for v in graph.vertices:
-        for _ in range(packed * capacities[v] - len(graph.in_arc_ids(v))):
-            arcs.append((next_id, root, v))
-            next_id += 1
-    augmented = Digraph(list(graph.vertices) + [root], arcs)
+        pairs += [(root, v)] * (packed * capacities[v] - len(graph.in_arc_ids(v)))
+    augmented = Digraph.from_pairs(root + 1, pairs)
 
     caps = capacities.as_dict()
     caps[root] = 1
@@ -85,15 +82,11 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
     )
     result = find_disjoint_b_branchings(instance)
 
-    original = graph.arc_id_set
+    original = frozenset(graph.arc_ids)
     parts = [part & original for part in result.branchings]
-    parts += [frozenset()] * (k - packed)
-    covered = Counter()
-    for part in parts:
-        covered.update(part)
-    if sum(covered.values()) != graph.arc_count or set(covered) != set(original):
+    if sorted(a for part in parts for a in part) != list(graph.arc_ids):
         raise AssertionError("cover parts must partition the arc set")
-    return parts
+    return parts + [frozenset()] * (k - packed)
 
 
 def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) -> list[BBranching]:
@@ -108,14 +101,8 @@ def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) ->
 def _multiplicity_graph(graph: Digraph, multiplicity: Sequence[int]) -> tuple[Digraph, list[int]]:
     """Multigraph carrying `multiplicity[a]` copies of each arc, plus the
     copy-to-original map."""
-    arcs = []
-    origin: list[int] = []
-    for a in graph.arc_ids:
-        tail, head = graph.endpoints(a)
-        for _ in range(multiplicity[a]):
-            arcs.append((len(origin), tail, head))
-            origin.append(a)
-    return Digraph(graph.vertices, arcs), origin
+    origin = [a for a in graph.arc_ids for _ in range(multiplicity[a])]
+    return Digraph.from_pairs(graph.vertex_count, map(graph.endpoints, origin)), origin
 
 
 def _try_repair_duplicates(

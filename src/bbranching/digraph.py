@@ -1,54 +1,60 @@
-"""Directed multigraph with stable arc identities, arc-subset queries and
-strong components.
+"""Directed multigraph on vertices 0..n-1 and arcs 0..m-1, arc-subset
+queries and strong components.
 
-Arc ids are stable and need not be contiguous, so an arc set keeps its
-meaning in any graph built from the same arcs.  Parallel arcs and self-loops
-are allowed everywhere.
+A problem instance is one fixed digraph: capacities, weights and every arc
+set are indexed by its vertices 0..n-1 and its arcs 0..m-1.  `Digraph`
+enforces that id rule, so no caller relabels or maps ids.  Parallel arcs
+and self-loops are allowed everywhere.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-# Arc subsets are plain frozensets of arc ids; iterate with sorted() whenever
-# the order matters.
-ArcSubset = frozenset
+
+def _count_ids(ids: Iterable[int], kind: str) -> int:
+    """How many ids there are; ValueError unless they are 0..n-1, each once."""
+    ids = list(ids)
+    n = len(ids)
+    seen = [False] * n
+    for i in ids:
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"{kind} id {i!r} is not in 0..{n - 1}")
+        if seen[i]:
+            raise ValueError(f"duplicate {kind} id {i}")
+        seen[i] = True
+    return n
 
 
 class Digraph:
     """Immutable directed multigraph.
 
-    Vertices are nonnegative integer ids (not necessarily contiguous, so that
-    contracted graphs can allocate fresh ids).  Arcs are (id, tail, head)
-    triples with distinct ids.  Instances never mutate after construction and
-    are safe to share between threads.
+    The vertices are exactly the ids 0..n-1 and the arcs are (id, tail, head)
+    triples whose ids are exactly 0..m-1, each given once, in any order.  Any
+    other id raises ValueError naming it; ids are never relabelled.  Tails,
+    heads and the arcs entering each vertex are flat lists indexed by id.
+    Instances never mutate after construction and are safe to share between
+    threads.
     """
 
-    __slots__ = ("_vertices", "_vset", "_tails", "_heads", "_ids", "_idset", "_in")
+    __slots__ = ("_tails", "_heads", "_in")
 
     def __init__(self, vertices: Iterable[int], arcs: Iterable[tuple[int, int, int]]):
-        verts = sorted({int(v) for v in vertices})
-        if verts and verts[0] < 0:
-            raise ValueError("vertex ids must be nonnegative")
-        vset = frozenset(verts)
-        tails: dict[int, int] = {}
-        heads: dict[int, int] = {}
-        incoming: dict[int, list[int]] = {v: [] for v in verts}
+        n = _count_ids(vertices, "vertex")
+        arcs = list(arcs)
+        m = _count_ids([arc[0] for arc in arcs], "arc")
+        tails = [0] * m
+        heads = [0] * m
         for arc_id, tail, head in arcs:
-            if arc_id in tails:
-                raise ValueError(f"duplicate arc id {arc_id}")
-            if tail not in vset or head not in vset:
-                raise ValueError(f"arc {arc_id}=({tail},{head}) has an unknown endpoint")
+            if not (type(tail) is int and type(head) is int and 0 <= tail < n and 0 <= head < n):
+                raise ValueError(f"arc {arc_id}=({tail!r},{head!r}) has an unknown endpoint")
             tails[arc_id] = tail
             heads[arc_id] = head
+        incoming: list[list[int]] = [[] for _ in range(n)]
+        for arc_id, head in enumerate(heads):
             incoming[head].append(arc_id)
-        self._vertices = tuple(verts)
-        self._vset = vset
-        self._tails = tails
-        self._heads = heads
-        self._ids = tuple(sorted(tails))
-        self._idset = frozenset(tails)
-        self._in = {v: tuple(sorted(ids)) for v, ids in incoming.items()}
+        self._tails, self._heads = tails, heads
+        self._in = [tuple(ids) for ids in incoming]
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -56,49 +62,43 @@ class Digraph:
         return cls(range(n), [(i, t, h) for i, (t, h) in enumerate(pairs)])
 
     @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
+    def vertices(self) -> range:
+        return range(len(self._in))
 
     @property
-    def vertex_set(self) -> frozenset:
-        return self._vset
-
-    @property
-    def arc_ids(self) -> tuple[int, ...]:
-        return self._ids
-
-    @property
-    def arc_id_set(self) -> frozenset:
-        return self._idset
+    def arc_ids(self) -> range:
+        return range(len(self._tails))
 
     @property
     def vertex_count(self) -> int:
-        return len(self._vertices)
+        return len(self._in)
 
     @property
     def arc_count(self) -> int:
-        return len(self._ids)
+        return len(self._tails)
 
     def tail(self, arc_id: int) -> int:
-        return self._tails[arc_id]
+        if 0 <= arc_id < len(self._tails):
+            return self._tails[arc_id]
+        raise ValueError(f"unknown arc id {arc_id}")
 
     def head(self, arc_id: int) -> int:
-        return self._heads[arc_id]
+        if 0 <= arc_id < len(self._heads):
+            return self._heads[arc_id]
+        raise ValueError(f"unknown arc id {arc_id}")
 
     def endpoints(self, arc_id: int) -> tuple[int, int]:
-        return self._tails[arc_id], self._heads[arc_id]
+        return self.tail(arc_id), self.head(arc_id)
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (id, tail, head) in ascending id order."""
-        for a in self._ids:
-            yield a, self._tails[a], self._heads[a]
+        """(id, tail, head) in ascending id order."""
+        return zip(range(len(self._tails)), self._tails, self._heads)
 
     def in_arc_ids(self, v: int) -> tuple[int, ...]:
         """All arcs entering v (self-loops at v included), ascending ids."""
-        try:
+        if 0 <= v < len(self._in):
             return self._in[v]
-        except KeyError:
-            raise ValueError(f"unknown vertex id {v}") from None
+        raise ValueError(f"unknown vertex id {v}")
 
     def __repr__(self) -> str:
         return f"Digraph(|V|={self.vertex_count}, |A|={self.arc_count})"
@@ -106,9 +106,9 @@ class Digraph:
 
 def _check_subset(graph: Digraph, arcs: Iterable[int]) -> frozenset:
     subset = frozenset(arcs)
-    if not subset <= graph.arc_id_set:
-        bad = sorted(subset - graph.arc_id_set)
-        raise ValueError(f"arc ids not in graph: {bad}")
+    # One range lookup per arc: a small subset of a large graph stays cheap.
+    if not all(map(graph.arc_ids.__contains__, subset)):
+        raise ValueError(f"arc ids not in graph: {sorted(subset.difference(graph.arc_ids))}")
     return subset
 
 
@@ -122,9 +122,9 @@ def induced_arcs(graph: Digraph, arcs: Iterable[int], vertex_set: Iterable[int])
     """Arcs of the given subset with both endpoints inside `vertex_set`."""
     subset = _check_subset(graph, arcs)
     inside = frozenset(vertex_set)
-    if not inside <= graph.vertex_set:
-        bad = sorted(inside - graph.vertex_set)
-        raise ValueError(f"unknown vertex ids: {bad}")
+    bad = inside.difference(graph.vertices)
+    if bad:
+        raise ValueError(f"unknown vertex ids: {sorted(bad)}")
     return frozenset(
         a for a in subset if graph.tail(a) in inside and graph.head(a) in inside
     )
@@ -134,7 +134,8 @@ def strong_components(graph: Digraph, arcs: Iterable[int]) -> tuple[frozenset, .
     """Strong components of (V, F) for the arc subset F.
 
     Returns a partition of the vertex set, sorted by minimum member id.
-    Iterative Tarjan, so deep graphs do not hit the recursion limit.
+    Iterative Tarjan, so deep graphs do not hit the recursion limit.  Reads
+    `graph` only through `vertices`, `arc_ids`, `tail` and `head`.
     """
     subset = _check_subset(graph, arcs)
     succ: dict[int, list[int]] = {v: [] for v in graph.vertices}

@@ -170,11 +170,6 @@ class CertificateCheck:
 # Public operations
 
 
-def _require_dense_arcs(graph: Digraph) -> None:
-    if graph.arc_ids != tuple(range(graph.arc_count)):
-        raise WeightError("weighted operations require dense arc ids 0..m-1")
-
-
 def max_weight_indegree_set(
     graph: Digraph,
     capacities: Union[CapacityVector, Mapping[int, int]],
@@ -185,7 +180,6 @@ def max_weight_indegree_set(
     Ties go to the smaller arc id.  The result is a maximum-weight independent
     set of the indegree matroid.
     """
-    _require_dense_arcs(graph)
     caps = capacities.as_dict() if isinstance(capacities, CapacityVector) else dict(capacities)
     wv = WeightVector.coerce(weights, graph.arc_count)
     wnum = dict(enumerate(wv.numerators))
@@ -214,7 +208,6 @@ def max_weight_b_branching(
     selection per vertex, a sort of its entering arcs' charged weights.
     """
     capacities.check_domain(graph)
-    _require_dense_arcs(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
     wnum = {a: w for a, w in enumerate(wv.numerators) if w >= 0}
     final, history = _run_phases(graph, capacities.as_dict(), wnum, {})
@@ -342,7 +335,7 @@ def verify_certificate(
     wv = WeightVector.coerce(weights, graph.arc_count)
     subset = frozenset(arcs)
 
-    if not subset <= graph.arc_id_set:
+    if not all(map(graph.arc_ids.__contains__, subset)):
         return CertificateCheck(False, "unknown-arc-ids")
     profile = indegree_profile(graph, subset)
     if any(profile[v] > capacities[v] for v in graph.vertices):
@@ -356,13 +349,13 @@ def verify_certificate(
     if any(p < 0 for p in p_vertex.values()):
         return CertificateCheck(False, "vertex-potential-negative")
     for members, potential in certificate.p_sets:
-        if not members or not members <= graph.vertex_set:
+        if not members or not members.issubset(graph.vertices):
             return CertificateCheck(False, "set-potential-domain")
         if potential < 0:
             return CertificateCheck(False, "set-potential-negative")
     if any(v < 0 for v in certificate.q.values()):
         return CertificateCheck(False, "arc-potential-negative")
-    if not set(certificate.q) <= set(graph.arc_ids):
+    if not all(map(graph.arc_ids.__contains__, certificate.q)):
         return CertificateCheck(False, "arc-potential-domain")
 
     # Every value is scaled by the weight denominator `den` once: an int when

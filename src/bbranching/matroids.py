@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .digraph import Digraph, strong_components
+from .digraph import Digraph, _check_subset, strong_components
 
 #: Largest vertex count accepted by the brute-force sparsity fallback.
 SPARSITY_BRUTE_FORCE_LIMIT = 20
@@ -282,10 +282,8 @@ def _sparsity_brute_force(graph: Digraph, capacities: CapacityVector, subset: fr
         raise ValueError(
             f"brute-force sparsity check limited to {SPARSITY_BRUTE_FORCE_LIMIT} vertices, got {n}"
         )
-    verts = graph.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    arc_masks = [(1 << pos[graph.tail(a)]) | (1 << pos[graph.head(a)]) for a in subset]
-    caps = [capacities[v] for v in verts]
+    arc_masks = [(1 << graph.tail(a)) | (1 << graph.head(a)) for a in subset]
+    caps = [capacities[v] for v in graph.vertices]
     for mask in range(1, 1 << n):
         bound = sum(c for i, c in enumerate(caps) if mask >> i & 1) - 1
         count = 0
@@ -330,10 +328,7 @@ class BBranching:
 
     @classmethod
     def of(cls, graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> "BBranching":
-        subset = frozenset(arcs)
-        if not subset <= graph.arc_id_set:
-            bad = sorted(subset - graph.arc_id_set)
-            raise ValueError(f"arc ids not in graph: {bad}")
+        subset = _check_subset(graph, arcs)
         if not is_b_branching(graph, capacities, subset):
             raise ValueError("arc set violates the indegree or sparsity constraints")
         return cls(graph, capacities, subset, indegree_profile(graph, subset))

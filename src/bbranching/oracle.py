@@ -205,4 +205,4 @@ def brute_exists_packing(instance) -> bool:
             return False
         return product(0, [])
 
-    return assign(0, graph.arc_id_set)
+    return assign(0, frozenset(graph.arc_ids))

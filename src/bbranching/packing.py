@@ -87,7 +87,7 @@ def _demand_count(
 def g_value(instance: PackingInstance, subset: Iterable[int]) -> int:
     """How many demand vectors saturate the capacity sum of the vertex set."""
     members = frozenset(subset)
-    if not members <= instance.graph.vertex_set:
+    if not members.issubset(instance.graph.vertices):
         raise ValueError("unknown vertex ids")
     return _demand_count(
         instance.capacities, [d.as_dict() for d in instance.demands], members
@@ -134,7 +134,7 @@ def check_packing_conditions(instance: PackingInstance) -> Feasibility:
     """Degree condition per vertex, cut condition via set-function minimization."""
     graph = instance.graph
     demands = [d.as_dict() for d in instance.demands]
-    return _packing_conditions(graph, instance.capacities, graph.arc_id_set, demands)
+    return _packing_conditions(graph, instance.capacities, frozenset(graph.arc_ids), demands)
 
 
 def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
@@ -152,7 +152,7 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
 
     graph = instance.graph
     capacities = instance.capacities
-    alive = set(graph.arc_id_set)
+    alive = set(graph.arc_ids)
     demands = [d.as_dict() for d in instance.demands]
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
@@ -172,7 +172,7 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
 
         zero = frozenset(v for v in graph.vertices if active[v] == 0)
         full = frozenset(v for v in graph.vertices if active[v] == capacities[v])
-        partial = graph.vertex_set - zero - full
+        partial = frozenset(graph.vertices) - zero - full
 
         def frontier(subset: frozenset) -> bool:
             return bool(subset & (zero | partial)) and bool(subset - zero)
@@ -266,12 +266,13 @@ def min_weight_disjoint_b_branchings(
     if best is None:
         raise AssertionError("a feasible instance must admit at least one candidate union")
 
-    sub = Digraph(
-        graph.vertices, [(a, *graph.endpoints(a)) for a in best[1]]
-    )
-    restricted = PackingInstance(sub, instance.capacities, instance.demands)
-    result = find_disjoint_b_branchings(restricted)
-    for part in result.branchings:
+    # Arc i of `sub` is union[i], and `union` ascends, so the construction's
+    # smallest-id rule picks the arcs it would pick in `graph`.
+    union = best[1]
+    sub = Digraph.from_pairs(graph.vertex_count, map(graph.endpoints, union))
+    result = find_disjoint_b_branchings(PackingInstance(sub, instance.capacities, instance.demands))
+    parts = tuple(frozenset(union[i] for i in part) for part in result.branchings)
+    for part in parts:
         if not is_b_branching(graph, instance.capacities, part):
             raise AssertionError("packed part is not feasible in the original graph")
-    return result
+    return PackingResult(parts)

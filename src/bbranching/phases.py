@@ -256,7 +256,7 @@ def _run_phases(
 
     history: list[tuple[ContractionStep, ...]] = []
     phase_limit = graph.vertex_count + len(wnum) + 1
-    next_vertex = max(graph.vertices, default=-1) + 1
+    next_vertex = graph.vertex_count
     while tight:
         steps = []
         for component in tight:

@@ -84,7 +84,7 @@ def reference_verify(graph, capacities, weights, arcs, certificate) -> Certifica
     wv = WeightVector.coerce(weights, graph.arc_count)
     subset = frozenset(arcs)
 
-    if not subset <= graph.arc_id_set:
+    if not subset.issubset(graph.arc_ids):
         return CertificateCheck(False, "unknown-arc-ids")
     profile = indegree_profile(graph, subset)
     if any(profile[v] > capacities[v] for v in graph.vertices):
@@ -98,7 +98,7 @@ def reference_verify(graph, capacities, weights, arcs, certificate) -> Certifica
     if any(p < 0 for p in p_vertex.values()):
         return CertificateCheck(False, "vertex-potential-negative")
     for members, potential in certificate.p_sets:
-        if not members or not members <= graph.vertex_set:
+        if not members or not members.issubset(graph.vertices):
             return CertificateCheck(False, "set-potential-domain")
         if potential < 0:
             return CertificateCheck(False, "set-potential-negative")
@@ -151,6 +151,41 @@ def reference_verify(graph, capacities, weights, arcs, certificate) -> Certifica
 # `contract`; the replay re-ranks each head's pool at every contraction.
 
 
+class SparseGraph:
+    """`Digraph`'s read API over arbitrary distinct ids, for the reference.
+
+    A `Digraph` owns exactly the vertex ids 0..n-1 and arc ids 0..m-1.  The
+    reference's working graphs keep the original arc ids after dropping
+    arcs, and each contraction adds a fresh vertex id, so they live here.
+    """
+
+    def __init__(self, vertices: Iterable[int], arcs: Iterable[tuple[int, int, int]]):
+        self.vertices = tuple(sorted(set(vertices)))
+        self._ends: dict[int, tuple[int, int]] = {}
+        self._in: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for a, tail, head in sorted(arcs):
+            if a in self._ends or tail not in self._in or head not in self._in:
+                raise ValueError(f"duplicate id or unknown endpoint in arc {a}=({tail},{head})")
+            self._ends[a] = (tail, head)
+            self._in[head].append(a)
+        self.arc_ids = tuple(self._ends)
+
+    def tail(self, a: int) -> int:
+        return self._ends[a][0]
+
+    def head(self, a: int) -> int:
+        return self._ends[a][1]
+
+    def endpoints(self, a: int) -> tuple[int, int]:
+        return self._ends[a]
+
+    def arcs(self):
+        return ((a, tail, head) for a, (tail, head) in self._ends.items())
+
+    def in_arc_ids(self, v: int) -> tuple[int, ...]:
+        return tuple(self._in[v])
+
+
 @dataclass(frozen=True)
 class ContractionRecord:
     """Everything needed to undo one contraction.
@@ -172,11 +207,11 @@ class ContractionRecord:
 
 
 def contract(
-    graph: Digraph,
+    graph,
     merge: Iterable[int],
     arcs: Iterable[int],
     weights: Mapping[int, object],
-) -> tuple[Digraph, ContractionRecord]:
+) -> tuple[SparseGraph, ContractionRecord]:
     """Contract the vertex set `merge` into one fresh vertex.
 
     Arcs inside the merged set are removed; arcs entering it are reattached to
@@ -189,9 +224,9 @@ def contract(
     inside = frozenset(merge)
     if not inside:
         raise ValueError("cannot contract an empty vertex set")
-    if not inside <= graph.vertex_set:
-        bad = sorted(inside - graph.vertex_set)
-        raise ValueError(f"unknown vertex ids: {bad}")
+    bad = inside.difference(graph.vertices)
+    if bad:
+        raise ValueError(f"unknown vertex ids: {sorted(bad)}")
     selected = _check_subset(graph, arcs)
 
     new_vertex = max(graph.vertices) + 1
@@ -226,7 +261,7 @@ def contract(
         cheapest_internal=cheapest,
         dropped=frozenset(dropped),
     )
-    return Digraph(new_vertices, new_arcs), record
+    return SparseGraph(new_vertices, new_arcs), record
 
 
 def _reference_select(graph, caps, wnum, oracles) -> frozenset:
@@ -285,7 +320,7 @@ def _reference_phases(graph, caps, wnum, oracles):
             break
         steps = []
         for component in tight:
-            current = selected & graph.arc_id_set
+            current = selected.intersection(graph.arc_ids)
             entering = [
                 a
                 for v in sorted(component)
@@ -402,7 +437,7 @@ def reference_max_weight(graph, capacities, weights, oracles=None):
         for a, t, h in graph.arcs()
         if nums[a] >= 0 and (oracles is None or oracles[h].is_independent((a,)))
     ]
-    work = Digraph(graph.vertices, kept)
+    work = SparseGraph(graph.vertices, kept)
     wnum = {a: nums[a] for a, _, _ in kept}
     final, history = _reference_phases(work, capacities.as_dict(), wnum, oracles or {})
     if oracles is not None:

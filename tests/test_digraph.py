@@ -136,7 +136,7 @@ def test_provenance_round_trip():
         original = {a: g.endpoints(a) for a in g.arc_ids}
         merge = frozenset(rng.sample(g.vertices, rng.randint(1, g.vertex_count)))
         weights = {a: rng.randint(0, 5) for a in g.arc_ids}
-        new, record = contract(g, merge, g.arc_id_set, weights)
+        new, record = contract(g, merge, frozenset(g.arc_ids), weights)
         for arc_id, (tail, head) in record.entering.items():
             assert original[arc_id] == (tail, head)
             assert head in record.merged
@@ -152,3 +152,42 @@ def test_duplicate_arc_ids_rejected():
 def test_unknown_endpoint_rejected():
     with pytest.raises(ValueError):
         Digraph(range(2), [(0, 0, 5)])
+
+
+@pytest.mark.parametrize(
+    "vertices, arcs, bad",
+    [
+        ([0, 3], [], "vertex id 3"),
+        (range(2), [(0, 0, 1), (2, 1, 0)], "arc id 2"),
+        ([0, 1, 1], [], "duplicate vertex id 1"),
+        ([-1, 0], [], "vertex id -1"),
+        (range(2), [(-1, 0, 1)], "arc id -1"),
+        (["0", "1"], [], "vertex id '0'"),
+        (range(1), [(0.0, 0, 0)], "arc id 0.0"),
+        (range(2), [(True, 0, 1)], "arc id True"),
+    ],
+)
+def test_ids_must_be_exactly_zero_to_count(vertices, arcs, bad):
+    with pytest.raises(ValueError, match=bad):
+        Digraph(vertices, arcs)
+
+
+def test_arcs_in_any_order_keep_their_ids():
+    g = Digraph([1, 0], [(1, 1, 0), (2, 1, 1), (0, 0, 1)])
+    assert g.vertices == range(2) and g.arc_ids == range(3)
+    assert list(g.arcs()) == [(0, 0, 1), (1, 1, 0), (2, 1, 1)]
+    assert g.in_arc_ids(0) == (1,) and g.in_arc_ids(1) == (0, 2)
+
+
+def test_out_of_range_ids_never_read_other_entries():
+    # Flat storage would wrap -1 around to the last vertex or arc.
+    g = Digraph.from_pairs(3, [(0, 1), (1, 2)])
+    for access, bad in [
+        (g.in_arc_ids, -1),
+        (g.in_arc_ids, 3),
+        (g.tail, -1),
+        (g.head, 2),
+        (g.endpoints, -1),
+    ]:
+        with pytest.raises(ValueError, match=f"unknown .* id {bad}"):
+            access(bad)

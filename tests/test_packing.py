@@ -224,7 +224,7 @@ def test_min_weight_matches_reference():
             for part in parts_for(instance.demands[i].as_dict(), available):
                 search(i + 1, available - part, acc + sum(wv.numerators[a] for a in part))
 
-        search(0, g.arc_id_set, 0)
+        search(0, frozenset(g.arc_ids), 0)
         return best[0]
 
     rng = random.Random(79)

@@ -42,3 +42,17 @@ def test_library_arithmetic_is_exact():
         if (reason := _inexact_arithmetic(node))
     ]
     assert SOURCES and not found, f"inexact arithmetic in the library: {found}"
+
+
+def test_only_digraph_reads_graph_storage():
+    # `Digraph` owns the id rule and the flat lists behind it; every other
+    # module reads a graph through its public accessors.
+    storage = {"_tails", "_heads", "_in"}
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in SOURCES
+        if path.name != "digraph.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in storage
+    ]
+    assert SOURCES and not found, f"graph storage read outside digraph.py: {found}"
