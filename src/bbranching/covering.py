@@ -3,9 +3,11 @@
 The cover reduces to a packing problem on an augmented graph: a fresh root
 supplies every vertex with exactly enough parallel arcs to make all parts
 tight at capacity everywhere, after which the packing parts restricted to
-the original arcs partition it.  Integer points of k times the feasible
-polytope decompose by covering the multigraph that carries each arc with
-its multiplicity.
+the original arcs partition it.  The cover condition is a closure min cut:
+k units of flow must reach every vertex from a source feeding each v with
+k b(v) - indeg(v).  Integer points of k times the feasible polytope
+decompose by covering the multigraph that carries each arc with its
+multiplicity.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from typing import Optional, Sequence
 
 from .digraph import Digraph
 from .matroids import BBranching, CapacityVector, DemandVector, is_b_branching
-from .oracle import brute_min_set_function
 from .packing import (
     Feasibility,
     InfeasiblePackingError,
     PackingInstance,
+    _add_arc,
+    _cut_witness,
     find_disjoint_b_branchings,
 )
 
@@ -41,21 +44,16 @@ def check_cover_conditions(graph: Digraph, capacities: CapacityVector, k: int) -
     for v in graph.vertices:
         if len(graph.in_arc_ids(v)) > k * capacities[v]:
             return Feasibility(False, vertex=v)
-    if graph.vertex_count == 0:
-        return Feasibility(True)
-
-    def slack(subset: frozenset) -> int:
-        induced = sum(
-            1
-            for a in graph.arc_ids
-            if graph.tail(a) in subset and graph.head(a) in subset
-        )
-        return k * (capacities.total(subset) - 1) - induced
-
-    witness, value = brute_min_set_function(slack, graph.vertices, constraint=lambda s: bool(s))
-    if value < 0:
-        return Feasibility(False, subset=witness)
-    return Feasibility(True)
+    # The cut into X is k b(X) - |A[X]|: loops count in indeg and in A[X]
+    # but never cross a cut.
+    n = graph.vertex_count
+    net: list[dict] = [{} for _ in range(n + 1)]
+    for v in graph.vertices:
+        _add_arc(net, n, v, k * capacities[v] - len(graph.in_arc_ids(v)))
+    for _, tail, head in graph.arcs():
+        if tail != head:
+            _add_arc(net, tail, head, 1)
+    return _cut_witness(net, n, k)
 
 
 def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -> list[frozenset]:

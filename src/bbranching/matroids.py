@@ -59,10 +59,6 @@ class _VertexVector:
     def __hash__(self) -> int:
         return hash(frozenset(self._values.items()))
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._values))
-
     def as_dict(self) -> dict[int, int]:
         return dict(self._values)
 

@@ -1,14 +1,14 @@
 """Packing arc-disjoint feasible sets with prescribed indegrees.
 
 Feasibility reduces to one vertex-degree condition plus nonnegativity of a
-submodular cut-minus-demand function; construction repeatedly locates an
-inclusionwise-minimal tight vertex set and commits one arc entering its
-demanded region, shrinking the problem until every demand is met.
+cut-minus-demand function: Edmonds' branching condition, decided by k units
+of flow reaching every vertex.  Construction repeatedly reads the least tight
+vertex set meeting the active demand's frontier off least minimum cuts and
+commits one arc entering its demanded region, until every demand is met.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -21,7 +21,7 @@ from .matroids import (
     indegree_profile,
     is_b_branching,
 )
-from .oracle import _check_arcs, brute_min_set_function
+from .oracle import _check_arcs
 
 
 class InfeasiblePackingError(ValueError):
@@ -94,21 +94,85 @@ def g_value(instance: PackingInstance, subset: Iterable[int]) -> int:
     )
 
 
-def _shortfall(
+def _add_arc(net: list, tail: int, head: int, capacity: int) -> None:
+    net[tail][head] = net[tail].get(head, 0) + capacity
+    net[head].setdefault(tail, 0)
+
+
+def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, frozenset]:
+    """Push up to `limit` units from `source` into `sinks` along shortest
+    augmenting paths in `net` (capacities net[u][w], left intact).  Returns
+    the flow and the nodes below `source` that reach a sink in the residual
+    network: the least minimum cut, once the flow is maximum."""
+    res = [dict(row) for row in net]
+    flow = 0
+    while flow < limit:
+        parent = {source: source}
+        queue = [source]
+        end = None
+        for u in queue:
+            for w, c in res[u].items():
+                if c > 0 and w not in parent:
+                    parent[w] = u
+                    if w in sinks:
+                        end = w
+                        break
+                    queue.append(w)
+            if end is not None:
+                break
+        if end is None:
+            break
+        path = []
+        while end != source:
+            path.append((parent[end], end))
+            end = parent[end]
+        push = min(limit - flow, min(res[u][w] for u, w in path))
+        for u, w in path:
+            res[u][w] -= push
+            res[w][u] += push
+        flow += push
+    reach = set(sinks)
+    stack = list(sinks)
+    while stack:
+        w = stack.pop()
+        for u in res[w]:
+            if u not in reach and res[u][w] > 0:
+                reach.add(u)
+                stack.append(u)
+    return flow, frozenset(u for u in reach if u < source)
+
+
+def _cut_witness(net: list, n: int, k: int) -> Feasibility:
+    """Whether k units reach each vertex v < n from the source n, else the
+    least short cut by (flow, size, sorted members): the least minimizer is
+    the least cut into each of its members, as the cut function is
+    submodular on sets sharing a vertex."""
+    cuts = [_max_flow(net, n, {v}, k) for v in range(n)]
+    short = [(flow, len(cut), sorted(cut)) for flow, cut in cuts if flow < k]
+    return Feasibility(False, subset=frozenset(min(short)[2])) if short else Feasibility(True)
+
+
+def _packing_network(
     graph: Digraph,
     capacities: CapacityVector,
-    alive: frozenset,
+    alive: Iterable[int],
     demands: Sequence[Mapping[int, int]],
-    subset: frozenset,
-) -> int:
-    """Arcs of `alive` entering the vertex set from outside (loops excluded),
-    minus the demands saturating it; the cut condition says it is never negative."""
-    cut = 0
-    for v in subset:
-        for a in graph.in_arc_ids(v):
-            if a in alive and graph.tail(a) not in subset:
-                cut += 1
-    return cut - _demand_count(capacities, demands, subset)
+) -> list:
+    """Source n, node n+1+i per demand i (fed by a unit arc, feeding each
+    vertex where the demand is below b) and the non-loop alive arcs: the cut
+    into X is rho(X) + k - g(X)."""
+    n, k = graph.vertex_count, len(demands)
+    net: list[dict] = [{} for _ in range(n + 1 + k)]
+    for i, demand in enumerate(demands):
+        _add_arc(net, n, n + 1 + i, 1)
+        for r in graph.vertices:
+            if demand[r] < capacities[r]:
+                _add_arc(net, n + 1 + i, r, k + 1)
+    for a in alive:
+        tail, head = graph.endpoints(a)
+        if tail != head:
+            _add_arc(net, tail, head, 1)
+    return net
 
 
 def _packing_conditions(
@@ -117,21 +181,16 @@ def _packing_conditions(
     alive: frozenset,
     demands: Sequence[Mapping[int, int]],
 ) -> Feasibility:
-    """Degree condition per vertex, then the cut condition via one subset scan."""
+    """Degree condition per vertex, then the cut condition via max flow."""
     for v in graph.vertices:
         if sum(1 for a in graph.in_arc_ids(v) if a in alive) < sum(d[v] for d in demands):
             return Feasibility(False, vertex=v)
-    if graph.vertex_count == 0:
-        return Feasibility(True)
-    shortfall = functools.partial(_shortfall, graph, capacities, alive, demands)
-    witness, value = brute_min_set_function(shortfall, graph.vertices)
-    if value < 0:
-        return Feasibility(False, subset=witness)
-    return Feasibility(True)
+    net = _packing_network(graph, capacities, alive, demands)
+    return _cut_witness(net, graph.vertex_count, len(demands))
 
 
 def check_packing_conditions(instance: PackingInstance) -> Feasibility:
-    """Degree condition per vertex, cut condition via set-function minimization."""
+    """Degree condition per vertex, cut condition via max flow."""
     graph = instance.graph
     demands = [d.as_dict() for d in instance.demands]
     return _packing_conditions(graph, instance.capacities, frozenset(graph.arc_ids), demands)
@@ -140,10 +199,10 @@ def check_packing_conditions(instance: PackingInstance) -> Feasibility:
 def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     """Construct the disjoint parts for a feasible instance.
 
-    Demands are served round-robin.  Each step finds the inclusionwise-minimal
-    vertex set that is tight for the cut condition and meets the active
-    demand's frontier, then commits the smallest-id arc running within it from
-    the unsaturated side into the demanded side.  Every step preserves both
+    Demands are served round-robin.  Each step finds the least vertex set, by
+    size and then sorted members, that is tight for the cut condition and
+    meets the active demand's frontier, then commits the smallest-id arc
+    running within it from the unsaturated side into the demanded side.  Every step preserves both
     feasibility conditions (checked), so the loop always completes.
     """
     feasibility = check_packing_conditions(instance)
@@ -156,7 +215,7 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     demands = [d.as_dict() for d in instance.demands]
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
-    k = len(demands)
+    n, k = graph.vertex_count, len(demands)
 
     while True:
         active_index = None
@@ -174,15 +233,28 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         full = frozenset(v for v in graph.vertices if active[v] == capacities[v])
         partial = frozenset(graph.vertices) - zero - full
 
-        def frontier(subset: frozenset) -> bool:
-            return bool(subset & (zero | partial)) and bool(subset - zero)
-
-        shortfall = functools.partial(_shortfall, graph, capacities, frozenset(alive), demands)
-        tight, value = brute_min_set_function(shortfall, graph.vertices, constraint=frontier)
-        if value != 0:
-            raise AssertionError(
-                "feasible instance must have a tight set (the whole vertex set qualifies)"
-            )
+        # These flows re-check the cut condition after the last commit.  A
+        # commit lowers one alive indegree and demand together, so degrees
+        # stay fine; after the final commit no set is saturated (g = 0).
+        net = _packing_network(graph, capacities, alive, demands)
+        cuts = [_max_flow(net, n, {v}, k) for v in graph.vertices]
+        if any(flow < k for flow, _ in cuts):
+            raise AssertionError("committing an arc must preserve the packing conditions")
+        # The least tight set meeting zero | partial and not inside zero (V is
+        # one) is the least tight set holding one of its members, or else one
+        # holding u in zero and w in full whose own stay inside zero and full.
+        least = [cut for _, cut in cuts]
+        best = min(
+            [(n, list(graph.vertices))]
+            + [(len(c), sorted(c)) for c in least if c & (zero | partial) and c - zero]
+        )
+        for u in zero:
+            if least[u] <= zero:
+                for w in full:
+                    if least[w] <= full and len(least[u] | least[w]) <= best[0]:
+                        cut = _max_flow(net, n, {u, w}, k)[1]
+                        best = min(best, (len(cut), sorted(cut)))
+        tight = frozenset(best[1])
 
         sources = tight & (zero | partial)
         targets = tight & (partial | full)
@@ -200,8 +272,6 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         parts[active_index].add(arc)
         alive.discard(arc)
         active[graph.head(arc)] -= 1
-        if not _packing_conditions(graph, capacities, frozenset(alive), demands):
-            raise AssertionError("committing an arc must preserve the packing conditions")
 
     branchings = tuple(frozenset(part) for part in parts)
     for demand, part in zip(instance.demands, branchings):

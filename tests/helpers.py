@@ -1,9 +1,11 @@
 """Shared random-instance generators and the test-only reference
-implementations (certificate verifier, vertex-set contraction, phase engine
-and dual replay) for the test suite."""
+implementations (certificate verifier, vertex-set contraction, phase engine,
+dual replay, and the subset-scan packing and cover checks and construction)
+for the test suite."""
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,13 +17,19 @@ from bbranching import (
     DemandVector,
     Digraph,
     DualCertificate,
+    Feasibility,
+    InfeasiblePackingError,
     OracleInconsistencyError,
     PackingInstance,
+    PackingResult,
     WeightVector,
     fundamental_circuit,
+    is_b_branching,
 )
 from bbranching.digraph import _check_subset
 from bbranching.matroids import indegree_profile, saturated_components
+from bbranching.oracle import brute_min_set_function
+from bbranching.packing import _demand_count
 
 
 def random_digraph(rng: random.Random, max_vertices: int, max_arcs: int, loop_rate: float = 0.0) -> Digraph:
@@ -443,3 +451,138 @@ def reference_max_weight(graph, capacities, weights, oracles=None):
     if oracles is not None:
         return final
     return final, _reference_dual(history, graph, capacities, wv)
+
+
+# ---------------------------------------------------------------------------
+# The subset-scan packing and cover checks and packing construction: the
+# library's flow code must report the same witnesses and build the same parts.
+
+
+def _reference_shortfall(graph, capacities, alive, demands, subset) -> int:
+    """Arcs of `alive` entering the vertex set from outside (loops excluded),
+    minus the demands saturating it; the cut condition says it is never negative."""
+    cut = 0
+    for v in subset:
+        for a in graph.in_arc_ids(v):
+            if a in alive and graph.tail(a) not in subset:
+                cut += 1
+    return cut - _demand_count(capacities, demands, subset)
+
+
+def reference_packing_conditions(graph, capacities, alive, demands) -> Feasibility:
+    """Degree condition per vertex, then the cut condition via one subset scan."""
+    for v in graph.vertices:
+        if sum(1 for a in graph.in_arc_ids(v) if a in alive) < sum(d[v] for d in demands):
+            return Feasibility(False, vertex=v)
+    if graph.vertex_count == 0:
+        return Feasibility(True)
+    shortfall = functools.partial(_reference_shortfall, graph, capacities, alive, demands)
+    witness, value = brute_min_set_function(shortfall, graph.vertices)
+    if value < 0:
+        return Feasibility(False, subset=witness)
+    return Feasibility(True)
+
+
+def reference_check_packing(instance: PackingInstance) -> Feasibility:
+    graph = instance.graph
+    demands = [d.as_dict() for d in instance.demands]
+    return reference_packing_conditions(
+        graph, instance.capacities, frozenset(graph.arc_ids), demands
+    )
+
+
+def reference_cover_conditions(graph, capacities, k: int) -> Feasibility:
+    """`check_cover_conditions` by a scan of every nonempty vertex set."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    capacities.check_domain(graph)
+    for v in graph.vertices:
+        if len(graph.in_arc_ids(v)) > k * capacities[v]:
+            return Feasibility(False, vertex=v)
+    if graph.vertex_count == 0:
+        return Feasibility(True)
+
+    def slack(subset: frozenset) -> int:
+        induced = sum(
+            1
+            for a in graph.arc_ids
+            if graph.tail(a) in subset and graph.head(a) in subset
+        )
+        return k * (capacities.total(subset) - 1) - induced
+
+    witness, value = brute_min_set_function(slack, graph.vertices, constraint=lambda s: bool(s))
+    if value < 0:
+        return Feasibility(False, subset=witness)
+    return Feasibility(True)
+
+
+def reference_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
+    """`find_disjoint_b_branchings` with each tight set found by a subset scan
+    and each commit re-checked by another."""
+    feasibility = reference_check_packing(instance)
+    if not feasibility:
+        raise InfeasiblePackingError(f"instance is infeasible: {feasibility}")
+
+    graph = instance.graph
+    capacities = instance.capacities
+    alive = set(graph.arc_ids)
+    demands = [d.as_dict() for d in instance.demands]
+    parts: list[set[int]] = [set() for _ in demands]
+    pointer = 0
+    k = len(demands)
+
+    while True:
+        active_index = None
+        for offset in range(k):
+            i = (pointer + offset) % k
+            if any(demands[i].values()):
+                active_index = i
+                break
+        if active_index is None:
+            break
+        pointer = (active_index + 1) % k
+        active = demands[active_index]
+
+        zero = frozenset(v for v in graph.vertices if active[v] == 0)
+        full = frozenset(v for v in graph.vertices if active[v] == capacities[v])
+        partial = frozenset(graph.vertices) - zero - full
+
+        def frontier(subset: frozenset) -> bool:
+            return bool(subset & (zero | partial)) and bool(subset - zero)
+
+        shortfall = functools.partial(
+            _reference_shortfall, graph, capacities, frozenset(alive), demands
+        )
+        tight, value = brute_min_set_function(shortfall, graph.vertices, constraint=frontier)
+        if value != 0:
+            raise AssertionError(
+                "feasible instance must have a tight set (the whole vertex set qualifies)"
+            )
+
+        sources = tight & (zero | partial)
+        targets = tight & (partial | full)
+        arc = min(
+            (
+                a
+                for a in alive
+                if graph.tail(a) in sources and graph.head(a) in targets
+            ),
+            default=None,
+        )
+        if arc is None:
+            raise AssertionError("a transferable arc must exist inside the tight set")
+
+        parts[active_index].add(arc)
+        alive.discard(arc)
+        active[graph.head(arc)] -= 1
+        if not reference_packing_conditions(graph, capacities, frozenset(alive), demands):
+            raise AssertionError("committing an arc must preserve the packing conditions")
+
+    branchings = tuple(frozenset(part) for part in parts)
+    for demand, part in zip(instance.demands, branchings):
+        profile = indegree_profile(graph, part)
+        if any(profile[v] != demand[v] for v in graph.vertices):
+            raise AssertionError("indegree mismatch")
+        if not is_b_branching(graph, capacities, part):
+            raise AssertionError("constructed part is not feasible")
+    return PackingResult(branchings)

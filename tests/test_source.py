@@ -56,3 +56,19 @@ def test_only_digraph_reads_graph_storage():
         if isinstance(node, ast.Attribute) and node.attr in storage
     ]
     assert SOURCES and not found, f"graph storage read outside digraph.py: {found}"
+
+
+def test_only_the_oracle_scans_vertex_sets():
+    # The checks and the construction decide by max flow; the 2^n scan
+    # serves tests and `--oracle` only, so no other library module names it
+    # (the package root re-exports it from `oracle`).
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "oracle.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if "brute_min_set_function"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        and not (path.name == "__init__.py" and isinstance(node, ast.alias))
+    ]
+    assert SOURCES and not found, f"subset scan named outside oracle.py: {found}"
