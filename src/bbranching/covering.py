@@ -24,6 +24,7 @@ from .packing import (
     PackingInstance,
     _add_arc,
     _cut_witness,
+    _max_flow,
     find_disjoint_b_branchings,
 )
 
@@ -53,7 +54,7 @@ def check_cover_conditions(graph: Digraph, capacities: CapacityVector, k: int) -
     for _, tail, head in graph.arcs():
         if tail != head:
             _add_arc(net, tail, head, 1)
-    return _cut_witness(net, n, k)
+    return _cut_witness([_max_flow(net, n, {v}, k) for v in range(n)], k)
 
 
 def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -> list[frozenset]:

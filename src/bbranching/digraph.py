@@ -5,6 +5,10 @@ A problem instance is one fixed digraph: capacities, weights and every arc
 set are indexed by its vertices 0..n-1 and its arcs 0..m-1.  `Digraph`
 enforces that id rule, so no caller relabels or maps ids.  Parallel arcs
 and self-loops are allowed everywhere.
+
+`Digraph.tails` and `Digraph.heads` hand out the endpoint tuples for hot
+loops to index; public functions check a caller's arc ids once (-1 would
+wrap round) and internal callers pass checked ids.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ class Digraph:
     The vertices are exactly the ids 0..n-1 and the arcs are (id, tail, head)
     triples whose ids are exactly 0..m-1, each given once, in any order.  Any
     other id raises ValueError naming it; ids are never relabelled.  Tails,
-    heads and the arcs entering each vertex are flat lists indexed by id.
+    heads and the arcs entering each vertex are flat sequences indexed by id.
     Instances never mutate after construction and are safe to share between
     threads.
     """
@@ -53,7 +57,7 @@ class Digraph:
         incoming: list[list[int]] = [[] for _ in range(n)]
         for arc_id, head in enumerate(heads):
             incoming[head].append(arc_id)
-        self._tails, self._heads = tails, heads
+        self._tails, self._heads = tuple(tails), tuple(heads)
         self._in = [tuple(ids) for ids in incoming]
 
     @classmethod
@@ -68,6 +72,14 @@ class Digraph:
     @property
     def arc_ids(self) -> range:
         return range(len(self._tails))
+
+    @property
+    def tails(self) -> tuple[int, ...]:
+        return self._tails
+
+    @property
+    def heads(self) -> tuple[int, ...]:
+        return self._heads
 
     @property
     def vertex_count(self) -> int:
@@ -130,61 +142,56 @@ def induced_arcs(graph: Digraph, arcs: Iterable[int], vertex_set: Iterable[int])
     )
 
 
+def _component_labels(succ: list, roots: Iterable[int]) -> list[int]:
+    """Iterative Tarjan: each vertex's component root, -1 if unreached; the
+    stack holds the visited, unlabelled vertices."""
+    n = len(succ)
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    counter = 0
+    for root in roots:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = v
+                        if w == v:
+                            break
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return label
+
+
 def strong_components(graph: Digraph, arcs: Iterable[int]) -> tuple[frozenset, ...]:
     """Strong components of (V, F) for the arc subset F.
 
     Returns a partition of the vertex set, sorted by minimum member id.
-    Iterative Tarjan, so deep graphs do not hit the recursion limit.  Reads
-    `graph` only through `vertices`, `arc_ids`, `tail` and `head`.
+    Iterative Tarjan, so deep graphs do not hit the recursion limit.
     """
     subset = _check_subset(graph, arcs)
-    succ: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    tails, heads = graph.tails, graph.heads
+    succ: list[list[int]] = [[] for _ in graph.vertices]
     for a in subset:
-        succ[graph.tail(a)].append(graph.head(a))
-
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[frozenset] = []
-    counter = 0
-
-    for root in graph.vertices:
-        if root in index:
-            continue
-        # Explicit DFS stack of (vertex, iterator position).
-        work = [(root, 0)]
-        while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            children = succ[v]
-            while pos < len(children):
-                w = children[pos]
-                pos += 1
-                if w not in index:
-                    work.append((v, pos))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return tuple(sorted(components, key=min))
+        succ[tails[a]].append(heads[a])
+    members: dict = {}  # ordered by least member
+    for v, c in enumerate(_component_labels(succ, graph.vertices)):
+        members.setdefault(c, []).append(v)
+    return tuple(map(frozenset, members.values()))

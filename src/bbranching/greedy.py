@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .digraph import Digraph
-from .matroids import BBranching, CapacityVector, indegree_profile, saturated_components
+from .matroids import BBranching, CapacityVector, _in_counts, _within, saturated_components
 from .phases import ContractionStep, _run_phases, _select_at
 
 
@@ -337,8 +337,8 @@ def verify_certificate(
 
     if not all(map(graph.arc_ids.__contains__, subset)):
         return CertificateCheck(False, "unknown-arc-ids")
-    profile = indegree_profile(graph, subset)
-    if any(profile[v] > capacities[v] for v in graph.vertices):
+    profile = _in_counts(graph, subset)
+    if not _within(capacities, profile):
         return CertificateCheck(False, "primal-indegree-violated")
     if saturated_components(graph, capacities, subset):
         return CertificateCheck(False, "primal-sparsity-violated")
@@ -375,7 +375,7 @@ def verify_certificate(
     # most |p_sets| + 1 of them, and any other family goes the same way.
     positive_sets = [(members, pot) for members, pot in certificate.p_sets if pot > 0]
     bit_potentials = [scaled(pot) for _, pot in positive_sets]
-    mask = dict.fromkeys(graph.vertices, 0)
+    mask = [0] * graph.vertex_count
     for i, (members, _) in enumerate(positive_sets):
         bit = 1 << i
         for v in members:
@@ -410,7 +410,8 @@ def verify_certificate(
         if p_scaled[v] > 0 and profile[v] != capacities[v]:
             return CertificateCheck(False, f"vertex-potential-unsaturated:v={v}")
     inside_counts = [0] * len(positive_sets)
-    for m, count in Counter(mask[graph.tail(a)] & mask[graph.head(a)] for a in subset).items():
+    tails, heads = graph.tails, graph.heads
+    for m, count in Counter(mask[tails[a]] & mask[heads[a]] for a in subset).items():
         for i, bit in enumerate(bits(m)):
             if bit == "1":
                 inside_counts[i] += count

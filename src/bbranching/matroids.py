@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .digraph import Digraph, _check_subset, strong_components
+from .digraph import Digraph, _check_subset, _component_labels
 
 #: Largest vertex count accepted by the brute-force sparsity fallback.
 SPARSITY_BRUTE_FORCE_LIMIT = 20
@@ -173,10 +173,15 @@ class PartitionOracle(MatroidOracle):
         super().__init__(ground, sum(caps))
         self.blocks = tuple(blocks)
         self.caps = tuple(caps)
+        self._block_of = {e: i for i, block in enumerate(blocks) for e in block}
 
     def is_independent(self, subset: Iterable[int]) -> bool:
-        members = self._as_members(subset)
-        return all(len(members & block) <= cap for block, cap in zip(self.blocks, self.caps))
+        room = list(self.caps)
+        for i in map(self._block_of.__getitem__, self._as_members(subset)):
+            room[i] -= 1
+            if room[i] < 0:
+                return False
+        return True
 
 
 def uniform_oracle(ground: Iterable[int], rank: int) -> UniformOracle:
@@ -214,45 +219,69 @@ def fundamental_circuit(
 # Independence tests on digraphs
 
 
+def _in_counts(graph: Digraph, arcs: Iterable[int]) -> list[int]:
+    """Arcs entering each vertex, repeats counted; ids unchecked."""
+    counts = [0] * graph.vertex_count
+    heads = graph.heads
+    for a in arcs:
+        counts[heads[a]] += 1
+    return counts
+
+
+def _within(capacities: CapacityVector, counts: list[int]) -> bool:
+    return all(c <= capacities[v] for v, c in enumerate(counts))
+
+
 def indegree_independent(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:
     """Whether every vertex receives at most its capacity in the arc set."""
     capacities.check_domain(graph)
-    counts: dict[int, int] = {}
-    for a in arcs:
-        h = graph.head(a)
-        counts[h] = counts.get(h, 0) + 1
-    return all(c <= capacities[v] for v, c in counts.items())
+    arcs = list(arcs)
+    _check_subset(graph, arcs)
+    return _within(capacities, _in_counts(graph, arcs))
 
 
 def indegree_profile(graph: Digraph, arcs: Iterable[int]) -> dict[int, int]:
     """Number of arcs of the subset entering each vertex (loops included)."""
-    profile = {v: 0 for v in graph.vertices}
-    for a in arcs:
-        profile[graph.head(a)] += 1
-    return profile
+    arcs = list(arcs)
+    _check_subset(graph, arcs)
+    return dict(enumerate(_in_counts(graph, arcs)))
 
 
 def saturated_components(
     graph: Digraph, caps: Mapping[int, int], arcs: frozenset
 ) -> list[frozenset]:
-    """Strong components X of (V, F) with |F[X]| = b(X), for `caps` indexable
-    by vertex.  Unchecked: for indegree-independent F these are exactly the
-    sparsity-violating components.  Sorted by minimum vertex id."""
-    comps = strong_components(graph, arcs)
-    component_of: dict[int, int] = {}
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            component_of[v] = idx
-    induced_counts = [0] * len(comps)
+    """Strong components X of (V, F) with |F[X]| = b(X) for checked arc ids,
+    sorted by minimum vertex id.  F must be indegree-independent (callers
+    check): then such an X has indeg_F = b at each member and no arc from
+    outside, so it survives the peel (each vertex below capacity, then all F
+    reaches from one) as a component no other survivor enters, and each such
+    component is saturated.  A feasible F leaves no survivor."""
+    n = graph.vertex_count
+    tails, heads = graph.tails, graph.heads
+    indeg = [0] * n
+    succ = [[] for _ in range(n)]
     for a in arcs:
-        ct = component_of[graph.tail(a)]
-        if ct == component_of[graph.head(a)]:
-            induced_counts[ct] += 1
-    return [
-        comp
-        for idx, comp in enumerate(comps)
-        if induced_counts[idx] == sum(caps[v] for v in comp)
-    ]
+        h = heads[a]
+        indeg[h] += 1
+        succ[tails[a]].append(h)
+    gone = [d < caps[v] for v, d in enumerate(indeg)]
+    stack = [v for v in range(n) if gone[v]]
+    while stack:
+        for w in succ[stack.pop()]:
+            if not gone[w]:
+                gone[w] = True
+                stack.append(w)
+    survivors = [v for v in range(n) if not gone[v]]
+    if not survivors:
+        return []
+    for v in survivors:
+        succ[v] = [w for w in succ[v] if not gone[w]]
+    label = _component_labels(succ, survivors)
+    entered = {label[w] for v in survivors for w in succ[v] if label[w] != label[v]}
+    members: dict = {}  # ordered by least member
+    for v in survivors:
+        members.setdefault(label[v], []).append(v)
+    return [frozenset(m) for c, m in members.items() if c not in entered]
 
 
 def sparsity_violating_components(
@@ -278,7 +307,7 @@ def _sparsity_brute_force(graph: Digraph, capacities: CapacityVector, subset: fr
         raise ValueError(
             f"brute-force sparsity check limited to {SPARSITY_BRUTE_FORCE_LIMIT} vertices, got {n}"
         )
-    arc_masks = [(1 << graph.tail(a)) | (1 << graph.head(a)) for a in subset]
+    arc_masks = [(1 << t) | (1 << h) for a, t, h in graph.arcs() if a in subset]
     caps = [capacities[v] for v in graph.vertices]
     for mask in range(1, 1 << n):
         bound = sum(c for i, c in enumerate(caps) if mask >> i & 1) - 1
@@ -325,9 +354,11 @@ class BBranching:
     @classmethod
     def of(cls, graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> "BBranching":
         subset = _check_subset(graph, arcs)
-        if not is_b_branching(graph, capacities, subset):
+        capacities.check_domain(graph)
+        counts = _in_counts(graph, subset)
+        if not _within(capacities, counts) or saturated_components(graph, capacities, subset):
             raise ValueError("arc set violates the indegree or sparsity constraints")
-        return cls(graph, capacities, subset, indegree_profile(graph, subset))
+        return cls(graph, capacities, subset, dict(enumerate(counts)))
 
     def __len__(self) -> int:
         return len(self.arcs)

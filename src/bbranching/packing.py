@@ -142,12 +142,11 @@ def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, froz
     return flow, frozenset(u for u in reach if u < source)
 
 
-def _cut_witness(net: list, n: int, k: int) -> Feasibility:
-    """Whether k units reach each vertex v < n from the source n, else the
-    least short cut by (flow, size, sorted members): the least minimizer is
-    the least cut into each of its members, as the cut function is
-    submodular on sets sharing a vertex."""
-    cuts = [_max_flow(net, n, {v}, k) for v in range(n)]
+def _cut_witness(cuts: list, k: int) -> Feasibility:
+    """Whether the flows into each vertex, `cuts`, reach k, else the least
+    short cut by (flow, size, sorted members): the least minimizer is the
+    least cut into each of its members, as the cut function is submodular
+    on sets sharing a vertex."""
     short = [(flow, len(cut), sorted(cut)) for flow, cut in cuts if flow < k]
     return Feasibility(False, subset=frozenset(min(short)[2])) if short else Feasibility(True)
 
@@ -185,8 +184,9 @@ def _packing_conditions(
     for v in graph.vertices:
         if sum(1 for a in graph.in_arc_ids(v) if a in alive) < sum(d[v] for d in demands):
             return Feasibility(False, vertex=v)
+    n, k = graph.vertex_count, len(demands)
     net = _packing_network(graph, capacities, alive, demands)
-    return _cut_witness(net, graph.vertex_count, len(demands))
+    return _cut_witness([_max_flow(net, n, {v}, k) for v in range(n)], k)
 
 
 def check_packing_conditions(instance: PackingInstance) -> Feasibility:
@@ -202,17 +202,19 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     Demands are served round-robin.  Each step finds the least vertex set, by
     size and then sorted members, that is tight for the cut condition and
     meets the active demand's frontier, then commits the smallest-id arc
-    running within it from the unsaturated side into the demanded side.  Every step preserves both
-    feasibility conditions (checked), so the loop always completes.
+    running within it from the unsaturated side into the demanded side.
+    Every step preserves both feasibility conditions (checked), so the loop
+    always completes.
     """
-    feasibility = check_packing_conditions(instance)
-    if not feasibility:
-        raise InfeasiblePackingError(f"instance is infeasible: {feasibility}")
-
     graph = instance.graph
     capacities = instance.capacities
     alive = set(graph.arc_ids)
     demands = [d.as_dict() for d in instance.demands]
+    # Entry check.  With no first step all demands are 0 and k units reach
+    # each vertex from the demand nodes.
+    for v in graph.vertices:
+        if len(graph.in_arc_ids(v)) < sum(d[v] for d in demands):
+            raise InfeasiblePackingError(f"instance is infeasible: {Feasibility(False, vertex=v)}")
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
     n, k = graph.vertex_count, len(demands)
@@ -233,12 +235,14 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         full = frozenset(v for v in graph.vertices if active[v] == capacities[v])
         partial = frozenset(graph.vertices) - zero - full
 
-        # These flows re-check the cut condition after the last commit.  A
-        # commit lowers one alive indegree and demand together, so degrees
-        # stay fine; after the final commit no set is saturated (g = 0).
+        # These flows check the cut condition on entry or after the last
+        # commit.  A commit lowers one alive indegree and demand together, so
+        # degrees stay fine; after the final commit no set is saturated.
         net = _packing_network(graph, capacities, alive, demands)
         cuts = [_max_flow(net, n, {v}, k) for v in graph.vertices]
         if any(flow < k for flow, _ in cuts):
+            if len(alive) == graph.arc_count:
+                raise InfeasiblePackingError(f"instance is infeasible: {_cut_witness(cuts, k)}")
             raise AssertionError("committing an arc must preserve the packing conditions")
         # The least tight set meeting zero | partial and not inside zero (V is
         # one) is the least tight set holding one of its members, or else one

@@ -86,7 +86,7 @@ def _run_phases(
     Returns the solution and the contraction history: one tuple of steps per
     phase, the last one empty.  `caps` and `wnum` are only read.
     """
-    tail, head = graph.tail, graph.head
+    tails, heads = graph.tails, graph.heads
     link: dict[int, int] = {}  # contracted vertex -> the vertex it became part of
     root: dict[int, int] = {}  # the same links, path-compressed by find()
 
@@ -153,7 +153,7 @@ def _run_phases(
                 added.extend(
                     (-wnum[a] - move, a)
                     for a in graph.in_arc_ids(y)
-                    if a in wnum and find(tail(a)) != z
+                    if a in wnum and find(tails[a]) != z
                 )
             else:
                 # A matroid member: each arc has its own fundamental circuit,
@@ -161,7 +161,7 @@ def _run_phases(
                 oracle, chosen = oracles[y], selected_at[y]
                 circuit_rule: dict[int, int] = {}
                 for a in graph.in_arc_ids(y):
-                    if a not in wnum or find(tail(a)) == z:
+                    if a not in wnum or find(tails[a]) == z:
                         continue
                     circuit = fundamental_circuit(oracle, chosen, a)
                     if circuit is None:
@@ -189,7 +189,7 @@ def _run_phases(
         # The capacity-one choice at the new vertex: its heaviest positive
         # entering arc.  That arc entered through a member that passed it
         # over, so its working weight is at most the anchor.
-        while heap and find(tail(heap[0][1])) == z:
+        while heap and find(tails[heap[0][1]]) == z:
             heappop(heap)
         selected_at[z] = []
         entering = 0
@@ -224,7 +224,7 @@ def _run_phases(
                     blocked = u
                     break
                 for a in selected_at[u]:
-                    t = find(tail(a))
+                    t = find(tails[a])
                     ahead.setdefault(t, []).append(u)
                     if t not in behind:
                         behind[t] = u
@@ -277,7 +277,7 @@ def _run_phases(
 
     def keep(a: int, stop: Optional[int]) -> None:
         final.add(a)
-        u = head(a)
+        u = heads[a]
         while (p := link.get(u)) != stop:
             if p in incoming:
                 raise AssertionError("more than one selected arc enters a contracted vertex")

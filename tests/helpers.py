@@ -1,6 +1,7 @@
 """Shared random-instance generators and the test-only reference
-implementations (certificate verifier, vertex-set contraction, phase engine,
-dual replay, and the subset-scan packing and cover checks and construction)
+implementations (sparsity check, certificate verifier, vertex-set
+contraction, phase engine, dual replay, and the subset-scan packing and
+cover checks and construction)
 for the test suite."""
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from bbranching import (
     is_b_branching,
 )
 from bbranching.digraph import _check_subset
-from bbranching.matroids import indegree_profile, saturated_components
+from bbranching.matroids import indegree_profile
 from bbranching.oracle import brute_min_set_function
 from bbranching.packing import _demand_count
 
@@ -84,6 +85,96 @@ def random_indegree_independent_set(rng: random.Random, graph: Digraph, capaciti
     return frozenset(chosen)
 
 
+# ---------------------------------------------------------------------------
+# Reference sparsity check: strong components over the `tail`/`head`
+# accessors, then the induced arc count of every component.  It reads a
+# graph through `vertices`, `arc_ids`, `tail` and `head` only, so it also
+# runs on `SparseGraph`.
+
+
+def reference_strong_components(graph: Digraph, arcs: Iterable[int]) -> tuple[frozenset, ...]:
+    """Strong components of (V, F) for the arc subset F.
+
+    Returns a partition of the vertex set, sorted by minimum member id.
+    Iterative Tarjan, so deep graphs do not hit the recursion limit.  Reads
+    `graph` only through `vertices`, `arc_ids`, `tail` and `head`.
+    """
+    subset = _check_subset(graph, arcs)
+    succ: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    for a in subset:
+        succ[graph.tail(a)].append(graph.head(a))
+
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    components: list[frozenset] = []
+    counter = 0
+
+    for root in graph.vertices:
+        if root in index:
+            continue
+        # Explicit DFS stack of (vertex, iterator position).
+        work = [(root, 0)]
+        while work:
+            v, pos = work.pop()
+            if pos == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            advanced = False
+            children = succ[v]
+            while pos < len(children):
+                w = children[pos]
+                pos += 1
+                if w not in index:
+                    work.append((v, pos))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return tuple(sorted(components, key=min))
+
+
+def reference_saturated_components(
+    graph: Digraph, caps: Mapping[int, int], arcs: frozenset
+) -> list[frozenset]:
+    """Strong components X of (V, F) with |F[X]| = b(X), for `caps` indexable
+    by vertex.  Unchecked: for indegree-independent F these are exactly the
+    sparsity-violating components.  Sorted by minimum vertex id."""
+    comps = reference_strong_components(graph, arcs)
+    component_of: dict[int, int] = {}
+    for idx, comp in enumerate(comps):
+        for v in comp:
+            component_of[v] = idx
+    induced_counts = [0] * len(comps)
+    for a in arcs:
+        ct = component_of[graph.tail(a)]
+        if ct == component_of[graph.head(a)]:
+            induced_counts[ct] += 1
+    return [
+        comp
+        for idx, comp in enumerate(comps)
+        if induced_counts[idx] == sum(caps[v] for v in comp)
+    ]
+
+
 def reference_verify(graph, capacities, weights, arcs, certificate) -> CertificateCheck:
     """Test-only oracle for `verify_certificate`: the same checks in the same
     order, summing every positive set potential for every arc in `Fraction`s
@@ -97,7 +188,7 @@ def reference_verify(graph, capacities, weights, arcs, certificate) -> Certifica
     profile = indegree_profile(graph, subset)
     if any(profile[v] > capacities[v] for v in graph.vertices):
         return CertificateCheck(False, "primal-indegree-violated")
-    if saturated_components(graph, capacities, subset):
+    if reference_saturated_components(graph, capacities, subset):
         return CertificateCheck(False, "primal-sparsity-violated")
 
     p_vertex = certificate.p_vertex
@@ -322,7 +413,7 @@ def _reference_phases(graph, caps, wnum, oracles):
     history = []
     while True:
         selected = _reference_select(graph, caps, wnum, oracles)
-        tight = saturated_components(graph, caps, selected)
+        tight = reference_saturated_components(graph, caps, selected)
         if not tight:
             history.append([])
             break

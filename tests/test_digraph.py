@@ -179,6 +179,14 @@ def test_arcs_in_any_order_keep_their_ids():
     assert g.in_arc_ids(0) == (1,) and g.in_arc_ids(1) == (0, 2)
 
 
+def test_endpoints_are_handed_out_as_read_only_tuples():
+    g = Digraph([1, 0], [(1, 1, 0), (0, 0, 1), (2, 1, 1)])
+    assert g.tails == (0, 1, 1) and type(g.tails) is tuple
+    assert g.heads == (1, 0, 1) and type(g.heads) is tuple
+    with pytest.raises(AttributeError):
+        g.tails = (1, 1, 1)
+
+
 def test_out_of_range_ids_never_read_other_entries():
     # Flat storage would wrap -1 around to the last vertex or arc.
     g = Digraph.from_pairs(3, [(0, 1), (1, 2)])

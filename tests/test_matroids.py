@@ -15,9 +15,10 @@ from bbranching import (
     partition_oracle,
     sparsity_independent,
     sparsity_violating_components,
+    strong_components,
     uniform_oracle,
 )
-from bbranching.matroids import CapacityError
+from bbranching.matroids import CapacityError, indegree_profile
 
 from helpers import random_capacities, random_digraph, random_indegree_independent_set
 
@@ -177,6 +178,49 @@ def test_bbranching_factory_caches_profile():
     assert bb.indegrees == {0: 0, 1: 1, 2: 1}
     with pytest.raises(ValueError):
         BBranching.of(g, b, {0, 99})
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda g, b, arcs: is_b_branching(g, b, arcs),
+        lambda g, b, arcs: sparsity_independent(g, b, arcs),
+        lambda g, b, arcs: indegree_independent(g, b, arcs),
+        lambda g, b, arcs: sparsity_violating_components(g, b, arcs),
+        lambda g, b, arcs: indegree_profile(g, arcs),
+        lambda g, b, arcs: strong_components(g, arcs),
+    ],
+    ids=[
+        "is_b_branching",
+        "sparsity_independent",
+        "indegree_independent",
+        "sparsity_violating_components",
+        "indegree_profile",
+        "strong_components",
+    ],
+)
+def test_public_subset_checks_reject_out_of_range_arc_ids(check):
+    # Arc -1 must not wrap round to the last arc, nor m run off the end.
+    g = Digraph.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+    b = CapacityVector([1, 1, 1])
+    for bad in ([-1], [g.arc_count], [0, -1]):
+        with pytest.raises(ValueError):
+            check(g, b, bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda ground: uniform_oracle(ground, 2),
+        lambda ground: partition_oracle(ground, [[3, 5], [9]], [1, 1]),
+    ],
+    ids=["uniform", "partition"],
+)
+def test_oracles_reject_elements_outside_the_ground_set(make):
+    oracle = make([3, 5, 9])
+    for bad in ([4], [3, 4], [-1], [9, 10]):
+        with pytest.raises(ValueError, match="not in the ground set"):
+            oracle.is_independent(bad)
 
 
 def test_uniform_oracle_extremes():

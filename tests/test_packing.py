@@ -83,6 +83,27 @@ def test_find_disjoint_requires_feasible():
         find_disjoint_b_branchings(instance)
 
 
+def test_construction_raises_the_entry_check_witness(monkeypatch):
+    # The construction decides the cut condition from its first step's flows
+    # instead of calling the check, yet raises the check's witness.
+    from bbranching import packing
+
+    rng = random.Random(0xE7)
+    instances = [random_packing_instance(rng, 6, 10, 3, 3, loop_rate=0.1) for _ in range(300)]
+    verdicts = [check_packing_conditions(instance) for instance in instances]
+    monkeypatch.setattr(packing, "_packing_conditions", None)
+    kinds = set()
+    for instance, verdict in zip(instances, verdicts):
+        if verdict:
+            find_disjoint_b_branchings(instance)
+            continue
+        kinds.add("vertex" if verdict.vertex is not None else "subset")
+        with pytest.raises(InfeasiblePackingError) as raised:
+            find_disjoint_b_branchings(instance)
+        assert str(raised.value) == f"instance is infeasible: {verdict}"
+    assert kinds == {"vertex", "subset"}
+
+
 def test_classical_disjoint_branchings_special_case():
     # unit capacities with 0/1 demands: feasibility must match the classical
     # cut condition counting the demand sets containing each vertex set

@@ -58,6 +58,22 @@ def test_only_digraph_reads_graph_storage():
     assert SOURCES and not found, f"graph storage read outside digraph.py: {found}"
 
 
+def test_hot_modules_index_the_endpoint_tuples():
+    # The engine, the solvers and the feasibility checks index
+    # `Digraph.tails` / `Digraph.heads`; the range-checking accessors stay
+    # for callers at the edge.  Any read of an accessor counts, so binding
+    # `graph.tail` to a local name and calling that is caught too.
+    hot = {"phases.py", "greedy.py", "matroids.py", "mrgreedy.py"}
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in SOURCES
+        if path.name in hot
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("tail", "head", "endpoints")
+    ]
+    assert {p.name for p in SOURCES} >= hot and not found, f"per-arc accessor reads: {found}"
+
+
 def test_only_the_oracle_scans_vertex_sets():
     # The checks and the construction decide by max flow; the 2^n scan
     # serves tests and `--oracle` only, so no other library module names it
