@@ -176,7 +176,7 @@ class InstanceDocument:
         oracles = {}
         for v, spec in enumerate(specs):
             path = f"$.matroids[{v}]"
-            ground = self.graph.in_arc_ids(v)
+            ground = self.graph.entering[v]
             if spec is None:
                 oracles[v] = uniform_oracle(ground, self.capacities[v])
                 continue

@@ -42,15 +42,16 @@ def check_cover_conditions(graph: Digraph, capacities: CapacityVector, k: int) -
     if k < 1:
         raise ValueError("k must be at least 1")
     capacities.check_domain(graph)
-    for v in graph.vertices:
-        if len(graph.in_arc_ids(v)) > k * capacities[v]:
+    indeg = list(map(len, graph.entering))
+    for v, cap in enumerate(capacities):
+        if indeg[v] > k * cap:
             return Feasibility(False, vertex=v)
     # The cut into X is k b(X) - |A[X]|: loops count in indeg and in A[X]
     # but never cross a cut.
     n = graph.vertex_count
     net: list[dict] = [{} for _ in range(n + 1)]
-    for v in graph.vertices:
-        _add_arc(net, n, v, k * capacities[v] - len(graph.in_arc_ids(v)))
+    for v, cap in enumerate(capacities):
+        _add_arc(net, n, v, k * cap - indeg[v])
     for _, tail, head in graph.arcs():
         if tail != head:
             _add_arc(net, tail, head, 1)
@@ -67,17 +68,13 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
     packed = min(k, max(1, graph.arc_count))
     root = graph.vertex_count
     pairs = [(t, h) for _, t, h in graph.arcs()]
-    for v in graph.vertices:
-        pairs += [(root, v)] * (packed * capacities[v] - len(graph.in_arc_ids(v)))
+    for v, (entering, cap) in enumerate(zip(graph.entering, capacities)):
+        pairs += [(root, v)] * (packed * cap - len(entering))
     augmented = Digraph.from_pairs(root + 1, pairs)
 
-    caps = capacities.as_dict()
-    caps[root] = 1
-    demand_values = {v: capacities[v] for v in graph.vertices}
-    demand_values[root] = 0
-    demand = DemandVector(demand_values)
+    demand = DemandVector((*capacities, 0))
     instance = PackingInstance(
-        augmented, CapacityVector(caps), tuple(demand for _ in range(packed))
+        augmented, CapacityVector((*capacities, 1)), tuple(demand for _ in range(packed))
     )
     result = find_disjoint_b_branchings(instance)
 
@@ -92,7 +89,7 @@ def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) ->
     """Partition the arc set into k feasible parts; conditions must hold."""
     feasibility = check_cover_conditions(graph, capacities, k)
     if not feasibility:
-        raise InfeasiblePackingError(f"cover conditions violated: {feasibility}")
+        raise InfeasiblePackingError(feasibility, "cover conditions violated")
     parts = _augmented_cover_parts(graph, capacities, k)
     return [BBranching.of(graph, capacities, part) for part in parts]
 

@@ -6,9 +6,9 @@ set are indexed by its vertices 0..n-1 and its arcs 0..m-1.  `Digraph`
 enforces that id rule, so no caller relabels or maps ids.  Parallel arcs
 and self-loops are allowed everywhere.
 
-`Digraph.tails` and `Digraph.heads` hand out the endpoint tuples for hot
-loops to index; public functions check a caller's arc ids once (-1 would
-wrap round) and internal callers pass checked ids.
+`Digraph.tails`, `Digraph.heads` and `Digraph.entering` hand out the flat
+tuples for hot loops to index; public functions check a caller's ids once
+(-1 would wrap round) and internal callers pass checked ids.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class Digraph:
         for arc_id, head in enumerate(heads):
             incoming[head].append(arc_id)
         self._tails, self._heads = tuple(tails), tuple(heads)
-        self._in = [tuple(ids) for ids in incoming]
+        self._in = tuple(map(tuple, incoming))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -80,6 +80,11 @@ class Digraph:
     @property
     def heads(self) -> tuple[int, ...]:
         return self._heads
+
+    @property
+    def entering(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the arcs entering it (self-loops included), ascending ids."""
+        return self._in
 
     @property
     def vertex_count(self) -> int:

@@ -172,7 +172,7 @@ class CertificateCheck:
 
 def max_weight_indegree_set(
     graph: Digraph,
-    capacities: Union[CapacityVector, Mapping[int, int]],
+    capacities: CapacityVector,
     weights: Union[WeightVector, Iterable[RationalLike]],
 ) -> frozenset:
     """Per vertex, the heaviest strictly-positive entering arcs within capacity.
@@ -180,11 +180,13 @@ def max_weight_indegree_set(
     Ties go to the smaller arc id.  The result is a maximum-weight independent
     set of the indegree matroid.
     """
-    caps = capacities.as_dict() if isinstance(capacities, CapacityVector) else dict(capacities)
+    capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
     wnum = dict(enumerate(wv.numerators))
     return frozenset(
-        a for v in graph.vertices for a in _select_at(graph.in_arc_ids(v), caps[v], wnum, None)
+        a
+        for entering, cap in zip(graph.entering, capacities)
+        for a in _select_at(entering, cap, wnum, None)
     )
 
 
@@ -210,7 +212,7 @@ def max_weight_b_branching(
     capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
     wnum = {a: w for a, w in enumerate(wv.numerators) if w >= 0}
-    final, history = _run_phases(graph, capacities.as_dict(), wnum, {})
+    final, history = _run_phases(graph, capacities, wnum, {})
     certificate = dual_from_run(history, graph, capacities, wv)
     return BBranching.of(graph, capacities, final), certificate
 
@@ -232,9 +234,9 @@ def dual_from_run(
     weight less charge over the kept arcs entering it, or 0 when that is
     negative or there are fewer.  Arc slacks absorb the rest.
     """
+    capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
     den, nums = wv.denominator, wv.numerators
-    caps = capacities.as_dict()
     steps = [step for phase in history for step in phase]
     link = {m: step.new_vertex for step in steps for m in step.merged}
 
@@ -295,16 +297,15 @@ def dual_from_run(
 
     p_vertex_num: dict[int, int] = {}
     q_num: dict[int, int] = {}
-    for v in graph.vertices:
-        entering = graph.in_arc_ids(v)
+    for v, (entering, cap) in enumerate(zip(graph.entering, capacities)):
         kept = sorted([net[a] for a in entering if nums[a] >= 0])
-        p = p_vertex_num[v] = max(0, kept[-caps[v]]) if len(kept) >= caps[v] else 0
+        p = p_vertex_num[v] = max(0, kept[-cap]) if len(kept) >= cap else 0
         for a in entering:
             if net[a] > p:
                 q_num[a] = net[a] - p
 
     objective_num = (
-        sum(caps[v] * p_vertex_num[v] for v in graph.vertices)
+        sum(cap * p_vertex_num[v] for v, cap in enumerate(capacities))
         + sum((capacities.total(members) - 1) * pot for members, pot in sets)
         + sum(q_num.values())
     )
@@ -415,14 +416,15 @@ def verify_certificate(
         for i, bit in enumerate(bits(m)):
             if bit == "1":
                 inside_counts[i] += count
-    for (members, _), count in zip(positive_sets, inside_counts):
-        if count != capacities.total(members) - 1:
-            return CertificateCheck(False, "set-potential-not-tight")
+    set_bounds = [capacities.total(members) - 1 for members, _ in positive_sets]
+    if inside_counts != set_bounds:
+        return CertificateCheck(False, "set-potential-not-tight")
 
+    # A set with potential 0 adds nothing to the objective.
     objective = scaled(certificate.objective)
     recomputed = (
         sum(capacities[v] * p_scaled[v] for v in graph.vertices)
-        + sum((capacities.total(members) - 1) * scaled(pot) for members, pot in certificate.p_sets)
+        + sum(bound * pot for bound, pot in zip(set_bounds, bit_potentials))
         + sum(q_scaled.values())
     )
     if recomputed != objective:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .digraph import Digraph, _check_subset, _component_labels
 
@@ -27,92 +27,66 @@ class CapacityError(ValueError):
     """Raised for malformed or mismatched capacity/demand vectors."""
 
 
-class _VertexVector:
-    """Shared plumbing for integer vectors indexed by vertex id."""
+class _VertexVector(tuple):
+    """A Python int per vertex 0..n-1, as a tuple; subclasses bound the
+    values from below."""
 
-    __slots__ = ("_values",)
+    __slots__ = ()
+    _kind: str  # names an entry in error messages
+    _least: int  # the smallest value allowed
 
-    def __init__(self, values: Union[Sequence[int], Mapping[int, int]]):
-        if isinstance(values, Mapping):
-            items = {int(v): int(c) for v, c in values.items()}
-        else:
-            items = {i: int(c) for i, c in enumerate(values)}
-        self._values = items
-
-    def __getitem__(self, v: int) -> int:
-        try:
-            return self._values[v]
-        except KeyError:
-            raise CapacityError(f"no entry for vertex {v}") from None
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _VertexVector):
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._values.items()))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._values)
+    def __new__(cls, values: Sequence[int]):
+        if not isinstance(values, Sequence):
+            raise CapacityError(
+                f"expected a sequence over vertices 0..n-1, got {type(values).__name__}"
+            )
+        for v, c in enumerate(values):
+            if type(c) is not int:
+                raise CapacityError(f"{cls._kind} at vertex {v} must be an integer, got {c!r}")
+            if c < cls._least:
+                raise CapacityError(f"{cls._kind} at vertex {v} must be >= {cls._least}, got {c}")
+        return super().__new__(cls, values)
 
     def total(self, vertex_set: Iterable[int]) -> int:
-        """Sum of entries over a vertex set."""
-        return sum(self._values[v] for v in vertex_set)
+        """Sum of entries over a vertex set; CapacityError for an id outside
+        0..n-1 (indexing alone would wrap -1 round)."""
+        ids = tuple(vertex_set)
+        if ids and min(ids) < 0:
+            raise CapacityError(f"no entry for vertex {min(ids)}")
+        try:
+            return sum(self[v] for v in ids)
+        except IndexError:
+            raise CapacityError(f"no entry for vertex {max(ids)}") from None
 
     def check_domain(self, graph: Digraph) -> None:
-        if set(self._values) != set(graph.vertices):
+        if len(self) != graph.vertex_count:
             raise CapacityError("vector domain does not match the graph's vertex set")
 
 
 class CapacityVector(_VertexVector):
     """Positive integer capacity per vertex."""
 
-    def __init__(self, values: Union[Sequence[int], Mapping[int, int]]):
-        super().__init__(values)
-        for v, c in self._values.items():
-            if c < 1:
-                raise CapacityError(f"capacity at vertex {v} must be >= 1, got {c}")
-
-    @classmethod
-    def uniform(cls, graph: Digraph, value: int = 1) -> "CapacityVector":
-        return cls({v: value for v in graph.vertices})
-
-    def __repr__(self) -> str:
-        return f"CapacityVector({self._values!r})"
+    __slots__ = ()
+    _kind = "capacity"
+    _least = 1
 
 
 class DemandVector(_VertexVector):
     """Nonnegative prescribed indegree per vertex."""
 
-    def __init__(self, values: Union[Sequence[int], Mapping[int, int]]):
-        super().__init__(values)
-        for v, c in self._values.items():
-            if c < 0:
-                raise CapacityError(f"demand at vertex {v} must be >= 0, got {c}")
+    __slots__ = ()
+    _kind = "demand"
+    _least = 0
 
     def validate_against(self, capacities: CapacityVector) -> None:
         """Demands must stay below capacities somewhere: b' <= b and b' != b."""
-        if set(self._values) != set(capacities.as_dict()):
+        if len(self) != len(capacities):
             raise CapacityError("demand domain does not match the capacity domain")
-        equal = True
-        for v, c in self._values.items():
-            cap = capacities[v]
+        for v, (c, cap) in enumerate(zip(self, capacities)):
             if c > cap:
                 raise CapacityError(f"demand {c} exceeds capacity {cap} at vertex {v}")
-            if c != cap:
-                equal = False
-        if equal:
+        if self == capacities:
             raise CapacityError("demand vector must differ from the capacity vector")
-
-    def __repr__(self) -> str:
-        return f"DemandVector({self._values!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +203,7 @@ def _in_counts(graph: Digraph, arcs: Iterable[int]) -> list[int]:
 
 
 def _within(capacities: CapacityVector, counts: list[int]) -> bool:
-    return all(c <= capacities[v] for v, c in enumerate(counts))
+    return all(map(int.__le__, counts, capacities))
 
 
 def indegree_independent(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:
@@ -248,7 +222,7 @@ def indegree_profile(graph: Digraph, arcs: Iterable[int]) -> dict[int, int]:
 
 
 def saturated_components(
-    graph: Digraph, caps: Mapping[int, int], arcs: frozenset
+    graph: Digraph, caps: Sequence[int], arcs: frozenset
 ) -> list[frozenset]:
     """Strong components X of (V, F) with |F[X]| = b(X) for checked arc ids,
     sorted by minimum vertex id.  F must be indegree-independent (callers
@@ -308,9 +282,8 @@ def _sparsity_brute_force(graph: Digraph, capacities: CapacityVector, subset: fr
             f"brute-force sparsity check limited to {SPARSITY_BRUTE_FORCE_LIMIT} vertices, got {n}"
         )
     arc_masks = [(1 << t) | (1 << h) for a, t, h in graph.arcs() if a in subset]
-    caps = [capacities[v] for v in graph.vertices]
     for mask in range(1, 1 << n):
-        bound = sum(c for i, c in enumerate(caps) if mask >> i & 1) - 1
+        bound = sum(c for i, c in enumerate(capacities) if mask >> i & 1) - 1
         count = 0
         for am in arc_masks:
             if am & mask == am:

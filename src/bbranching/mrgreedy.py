@@ -30,11 +30,12 @@ class MatroidAssignment:
     oracles: Mapping[int, MatroidOracle]
 
     def validate(self, graph: Digraph, capacities: CapacityVector) -> None:
+        capacities.check_domain(graph)
         if set(self.oracles) != set(graph.vertices):
             raise ValueError("exactly one oracle per vertex is required")
-        for v in graph.vertices:
+        for v, entering in enumerate(graph.entering):
             oracle = self.oracles[v]
-            if oracle.ground != frozenset(graph.in_arc_ids(v)):
+            if oracle.ground != frozenset(entering):
                 raise ValueError(f"oracle ground set at vertex {v} is not its entering arcs")
             if oracle.rank != capacities[v]:
                 raise ValueError(
@@ -53,7 +54,6 @@ def mr_max_weight_b_branching(
     Arcs with negative weight, and arcs dependent on their own (loops of the
     head's matroid), can never be used and are dropped up front.
     """
-    capacities.check_domain(graph)
     assignment.validate(graph, capacities)
     wv = WeightVector.coerce(weights, graph.arc_count)
     nums = wv.numerators
@@ -62,10 +62,10 @@ def mr_max_weight_b_branching(
     wnum = {
         a: nums[a] for a, _, h in graph.arcs() if nums[a] >= 0 and oracles[h].is_independent((a,))
     }
-    final, _ = _run_phases(graph, capacities.as_dict(), wnum, oracles)
+    final, _ = _run_phases(graph, capacities, wnum, oracles)
 
-    for v in graph.vertices:
-        mine = [a for a in graph.in_arc_ids(v) if a in final]
+    for v, entering in enumerate(graph.entering):
+        mine = [a for a in entering if a in final]
         if not oracles[v].is_independent(mine):
             raise OracleInconsistencyError(f"output is dependent at vertex {v}")
     try:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .digraph import Digraph
 from .greedy import WeightVector
@@ -39,7 +39,6 @@ def enumerate_b_branchings(graph: Digraph, capacities: CapacityVector) -> list[f
     _check_arcs(graph.arc_count)
     found: list[frozenset] = []
     arcs = graph.arc_ids
-    caps = capacities.as_dict()
 
     def extend(idx: int, chosen: list[int], degrees: dict) -> None:
         if idx == len(arcs):
@@ -50,7 +49,7 @@ def enumerate_b_branchings(graph: Digraph, capacities: CapacityVector) -> list[f
         extend(idx + 1, chosen, degrees)
         a = arcs[idx]
         head = graph.head(a)
-        if degrees.get(head, 0) < caps[head]:
+        if degrees.get(head, 0) < capacities[head]:
             degrees[head] = degrees.get(head, 0) + 1
             chosen.append(a)
             extend(idx + 1, chosen, degrees)
@@ -94,14 +93,13 @@ def brute_min_set_function(
 def _per_vertex_choices(
     graph: Digraph,
     available: frozenset,
-    required: dict,
+    required: Sequence[int],
 ) -> Optional[list[list[tuple[int, ...]]]]:
     """For each vertex, all ways to pick exactly the required number of
     entering arcs from the available pool; None when some vertex cannot."""
     all_choices: list[list[tuple[int, ...]]] = []
-    for v in graph.vertices:
-        pool = [a for a in graph.in_arc_ids(v) if a in available]
-        need = required.get(v, 0)
+    for entering, need in zip(graph.entering, required):
+        pool = [a for a in entering if a in available]
         if len(pool) < need:
             return None
         all_choices.append(list(combinations(pool, need)))
@@ -114,7 +112,8 @@ def brute_max_weight(graph: Digraph, capacities: CapacityVector, weights) -> Fra
     The indegree cap b(v) is the rank-b(v) uniform matroid on the arcs
     entering v, so this is the restricted scan with those oracles.
     """
-    oracles = {v: UniformOracle(graph.in_arc_ids(v), capacities[v]) for v in graph.vertices}
+    capacities.check_domain(graph)
+    oracles = {v: UniformOracle(graph.entering[v], capacities[v]) for v in graph.vertices}
     return brute_max_weight_restricted(graph, capacities, weights, oracles)
 
 
@@ -131,12 +130,13 @@ def brute_max_weight_restricted(
     upper bound, and keeps the best sparsity-independent combination.
     """
     _check_arcs(graph.arc_count)
+    capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
     nums = wv.numerators
 
     per_vertex: list[list[tuple[int, tuple[int, ...]]]] = []
     for v in graph.vertices:
-        pool = [a for a in graph.in_arc_ids(v) if nums[a] > 0]
+        pool = [a for a in graph.entering[v] if nums[a] > 0]
         oracle = oracles[v]
         options = []
         for size in range(0, min(capacities[v], len(pool)) + 1):
@@ -183,7 +183,7 @@ def brute_exists_packing(instance) -> bool:
     capacities = instance.capacities
     _check_arcs(graph.arc_count)
     _check_vertices(graph.vertex_count)
-    demands = [d.as_dict() for d in instance.demands]
+    demands = instance.demands
 
     def assign(idx: int, available: frozenset) -> bool:
         if idx == len(demands):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .digraph import Digraph
 from .greedy import WeightVector
@@ -22,10 +22,6 @@ from .matroids import (
     is_b_branching,
 )
 from .oracle import _check_arcs
-
-
-class InfeasiblePackingError(ValueError):
-    """Raised when a construction is attempted on an infeasible instance."""
 
 
 @dataclass(frozen=True)
@@ -46,6 +42,15 @@ class Feasibility:
         if self.subset is not None:
             return {"X": sorted(self.subset)}
         return {}
+
+
+class InfeasiblePackingError(ValueError):
+    """Raised when a construction is attempted on an infeasible instance;
+    `feasibility` holds the violated condition and its witness."""
+
+    def __init__(self, feasibility: Feasibility, message: str = "instance is infeasible"):
+        super().__init__(f"{message}: {feasibility}")
+        self.feasibility = feasibility
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class PackingResult:
 
 
 def _demand_count(
-    capacities: CapacityVector, demands: Sequence[Mapping[int, int]], subset: frozenset
+    capacities: CapacityVector, demands: Sequence[Sequence[int]], subset: frozenset
 ) -> int:
     if not subset:
         return 0
@@ -89,9 +94,7 @@ def g_value(instance: PackingInstance, subset: Iterable[int]) -> int:
     members = frozenset(subset)
     if not members.issubset(instance.graph.vertices):
         raise ValueError("unknown vertex ids")
-    return _demand_count(
-        instance.capacities, [d.as_dict() for d in instance.demands], members
-    )
+    return _demand_count(instance.capacities, instance.demands, members)
 
 
 def _add_arc(net: list, tail: int, head: int, capacity: int) -> None:
@@ -155,7 +158,7 @@ def _packing_network(
     graph: Digraph,
     capacities: CapacityVector,
     alive: Iterable[int],
-    demands: Sequence[Mapping[int, int]],
+    demands: Sequence[Sequence[int]],
 ) -> list:
     """Source n, node n+1+i per demand i (fed by a unit arc, feeding each
     vertex where the demand is below b) and the non-loop alive arcs: the cut
@@ -178,11 +181,11 @@ def _packing_conditions(
     graph: Digraph,
     capacities: CapacityVector,
     alive: frozenset,
-    demands: Sequence[Mapping[int, int]],
+    demands: Sequence[Sequence[int]],
 ) -> Feasibility:
     """Degree condition per vertex, then the cut condition via max flow."""
-    for v in graph.vertices:
-        if sum(1 for a in graph.in_arc_ids(v) if a in alive) < sum(d[v] for d in demands):
+    for v, entering in enumerate(graph.entering):
+        if sum(1 for a in entering if a in alive) < sum(d[v] for d in demands):
             return Feasibility(False, vertex=v)
     n, k = graph.vertex_count, len(demands)
     net = _packing_network(graph, capacities, alive, demands)
@@ -192,8 +195,9 @@ def _packing_conditions(
 def check_packing_conditions(instance: PackingInstance) -> Feasibility:
     """Degree condition per vertex, cut condition via max flow."""
     graph = instance.graph
-    demands = [d.as_dict() for d in instance.demands]
-    return _packing_conditions(graph, instance.capacities, frozenset(graph.arc_ids), demands)
+    return _packing_conditions(
+        graph, instance.capacities, frozenset(graph.arc_ids), instance.demands
+    )
 
 
 def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
@@ -204,17 +208,18 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     meets the active demand's frontier, then commits the smallest-id arc
     running within it from the unsaturated side into the demanded side.
     Every step preserves both feasibility conditions (checked), so the loop
-    always completes.
+    always completes.  On an infeasible instance it raises
+    InfeasiblePackingError carrying `check_packing_conditions`'s verdict.
     """
     graph = instance.graph
     capacities = instance.capacities
     alive = set(graph.arc_ids)
-    demands = [d.as_dict() for d in instance.demands]
+    demands = [list(d) for d in instance.demands]  # each commit lowers one entry
     # Entry check.  With no first step all demands are 0 and k units reach
     # each vertex from the demand nodes.
-    for v in graph.vertices:
-        if len(graph.in_arc_ids(v)) < sum(d[v] for d in demands):
-            raise InfeasiblePackingError(f"instance is infeasible: {Feasibility(False, vertex=v)}")
+    for v, entering in enumerate(graph.entering):
+        if len(entering) < sum(d[v] for d in demands):
+            raise InfeasiblePackingError(Feasibility(False, vertex=v))
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
     n, k = graph.vertex_count, len(demands)
@@ -223,7 +228,7 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         active_index = None
         for offset in range(k):
             i = (pointer + offset) % k
-            if any(demands[i].values()):
+            if any(demands[i]):
                 active_index = i
                 break
         if active_index is None:
@@ -242,7 +247,7 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         cuts = [_max_flow(net, n, {v}, k) for v in graph.vertices]
         if any(flow < k for flow, _ in cuts):
             if len(alive) == graph.arc_count:
-                raise InfeasiblePackingError(f"instance is infeasible: {_cut_witness(cuts, k)}")
+                raise InfeasiblePackingError(_cut_witness(cuts, k))
             raise AssertionError("committing an arc must preserve the packing conditions")
         # The least tight set meeting zero | partial and not inside zero (V is
         # one) is the least tight set holding one of its members, or else one
@@ -292,14 +297,16 @@ def exists_b_branching_with_indegree(
     capacities: CapacityVector,
     demand: DemandVector,
 ) -> tuple[Feasibility, Optional[frozenset]]:
-    """Single-part case: is there a feasible set with this exact indegree?"""
+    """Single-part case: is there a feasible set with this exact indegree?
+
+    The construction's own entry checks decide it, so the flows run once.
+    """
     demand.validate_against(capacities)
-    instance = PackingInstance(graph, capacities, (demand,))
-    feasibility = check_packing_conditions(instance)
-    if not feasibility:
-        return feasibility, None
-    result = find_disjoint_b_branchings(instance)
-    return feasibility, result.branchings[0]
+    try:
+        result = find_disjoint_b_branchings(PackingInstance(graph, capacities, (demand,)))
+    except InfeasiblePackingError as error:
+        return error.feasibility, None
+    return Feasibility(True), result.branchings[0]
 
 
 def min_weight_disjoint_b_branchings(
@@ -318,9 +325,9 @@ def min_weight_disjoint_b_branchings(
     wv = WeightVector.coerce(weights, graph.arc_count)
     feasibility = check_packing_conditions(instance)
     if not feasibility:
-        raise InfeasiblePackingError(f"instance is infeasible: {feasibility}")
+        raise InfeasiblePackingError(feasibility)
 
-    demands = [d.as_dict() for d in instance.demands]
+    demands = instance.demands
     needed = {v: sum(d[v] for d in demands) for v in graph.vertices}
     union_size = sum(needed.values())
 

@@ -21,7 +21,7 @@ as one offset.  No graph is rebuilt.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .digraph import Digraph
 from .matroids import fundamental_circuit, saturated_components
@@ -78,7 +78,7 @@ def _select_at(arcs: Iterable[int], cap: int, wnum: Mapping[int, int], oracle) -
 
 
 def _run_phases(
-    graph: Digraph, caps: Mapping[int, int], wnum: Mapping[int, int], oracles: Mapping
+    graph: Digraph, caps: Sequence[int], wnum: Mapping[int, int], oracles: Mapping
 ) -> tuple[frozenset, list[tuple[ContractionStep, ...]]]:
     """Run selection/contraction phases, then expand back to original arcs.
 
@@ -86,7 +86,7 @@ def _run_phases(
     Returns the solution and the contraction history: one tuple of steps per
     phase, the last one empty.  `caps` and `wnum` are only read.
     """
-    tails, heads = graph.tails, graph.heads
+    tails, heads, entering = graph.tails, graph.heads, graph.entering
     link: dict[int, int] = {}  # contracted vertex -> the vertex it became part of
     root: dict[int, int] = {}  # the same links, path-compressed by find()
 
@@ -152,7 +152,7 @@ def _run_phases(
                 move = shift[y] - off
                 added.extend(
                     (-wnum[a] - move, a)
-                    for a in graph.in_arc_ids(y)
+                    for a in entering[y]
                     if a in wnum and find(tails[a]) != z
                 )
             else:
@@ -160,7 +160,7 @@ def _run_phases(
                 # so each gets an explicit adjusted weight.
                 oracle, chosen = oracles[y], selected_at[y]
                 circuit_rule: dict[int, int] = {}
-                for a in graph.in_arc_ids(y):
+                for a in entering[y]:
                     if a not in wnum or find(tails[a]) == z:
                         continue
                     circuit = fundamental_circuit(oracle, chosen, a)
@@ -192,15 +192,15 @@ def _run_phases(
         while heap and find(tails[heap[0][1]]) == z:
             heappop(heap)
         selected_at[z] = []
-        entering = 0
+        inflow = 0
         if heap and off - heap[0][0] > 0:
             key, a = heap[0]
             selected_at[z].append(a)
-            entering = weight_of[a] = off - key
-        if entering > anchor:
-            raise AssertionError(f"negative potential {anchor - entering} at contraction {z}")
+            inflow = weight_of[a] = off - key
+        if inflow > anchor:
+            raise AssertionError(f"negative potential {anchor - inflow} at contraction {z}")
         return ContractionStep(
-            tuple(members), z, frozenset(internal), cheapest, anchor - entering, replacement
+            tuple(members), z, frozenset(internal), cheapest, anchor - inflow, replacement
         )
 
     def tight_through(fresh: list[int]) -> list[frozenset]:
@@ -248,7 +248,7 @@ def _run_phases(
         return sorted(found, key=min)
 
     for v in graph.vertices:
-        chosen = _select_at(graph.in_arc_ids(v), caps[v], wnum, oracles.get(v))
+        chosen = _select_at(entering[v], caps[v], wnum, oracles.get(v))
         selected_at[v] = chosen
         for a in chosen:
             weight_of[a] = wnum[a]

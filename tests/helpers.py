@@ -538,7 +538,7 @@ def reference_max_weight(graph, capacities, weights, oracles=None):
     ]
     work = SparseGraph(graph.vertices, kept)
     wnum = {a: nums[a] for a, _, _ in kept}
-    final, history = _reference_phases(work, capacities.as_dict(), wnum, oracles or {})
+    final, history = _reference_phases(work, dict(enumerate(capacities)), wnum, oracles or {})
     if oracles is not None:
         return final
     return final, _reference_dual(history, graph, capacities, wv)
@@ -576,7 +576,7 @@ def reference_packing_conditions(graph, capacities, alive, demands) -> Feasibili
 
 def reference_check_packing(instance: PackingInstance) -> Feasibility:
     graph = instance.graph
-    demands = [d.as_dict() for d in instance.demands]
+    demands = [dict(enumerate(d)) for d in instance.demands]
     return reference_packing_conditions(
         graph, instance.capacities, frozenset(graph.arc_ids), demands
     )
@@ -612,12 +612,12 @@ def reference_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     and each commit re-checked by another."""
     feasibility = reference_check_packing(instance)
     if not feasibility:
-        raise InfeasiblePackingError(f"instance is infeasible: {feasibility}")
+        raise InfeasiblePackingError(feasibility)
 
     graph = instance.graph
     capacities = instance.capacities
     alive = set(graph.arc_ids)
-    demands = [d.as_dict() for d in instance.demands]
+    demands = [dict(enumerate(d)) for d in instance.demands]
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
     k = len(demands)

@@ -183,8 +183,12 @@ def test_endpoints_are_handed_out_as_read_only_tuples():
     g = Digraph([1, 0], [(1, 1, 0), (0, 0, 1), (2, 1, 1)])
     assert g.tails == (0, 1, 1) and type(g.tails) is tuple
     assert g.heads == (1, 0, 1) and type(g.heads) is tuple
+    assert g.entering == ((1,), (0, 2)) and type(g.entering) is tuple
+    assert g.entering[1] == g.in_arc_ids(1) and type(g.entering[1]) is tuple
     with pytest.raises(AttributeError):
         g.tails = (1, 1, 1)
+    with pytest.raises(AttributeError):
+        g.entering = ()
 
 
 def test_out_of_range_ids_never_read_other_entries():

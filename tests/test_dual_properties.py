@@ -50,7 +50,7 @@ def test_recorded_potentials_make_a_verified_reference_certificate(instance):
 
     wv = WeightVector.from_values(weights)
     wnum = {a: w for a, w in enumerate(wv.numerators) if w >= 0}
-    _, history = _run_phases(graph, capacities.as_dict(), wnum, {})
+    _, history = _run_phases(graph, capacities, wnum, {})
     expansion: dict[int, frozenset] = {}
     recorded = []
     for step in (step for phase in history for step in phase):

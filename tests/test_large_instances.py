@@ -234,7 +234,7 @@ def test_flows_match_networkx():
 
         # λ(s, v) on the library's packing network, and on a few vertices
         # the least minimum cut that comes with it.
-        net = _packing_network(graph, b, graph.arc_ids, [d.as_dict() for d in instance.demands])
+        net = _packing_network(graph, b, graph.arc_ids, instance.demands)
         sample = rng.sample(range(25), 4)
         for v in graph.vertices:
             flow, cut = _max_flow(net, graph.vertex_count, {v}, _infinite(arcs))

@@ -39,8 +39,20 @@ def brute_sparsity(graph, capacities, arcs):
 def test_capacity_vector_validation():
     with pytest.raises(CapacityError):
         CapacityVector([1, 0])
+    # A sequence of Python ints over 0..n-1 only.  A Mapping would iterate
+    # as its keys, and int() would round 1.9 down.
+    for bad in ({5: 1}, {0: 1, 1: 1}, [1.9, 1], [1, "2"], "12", [True, 1], {1, 2}, iter([1])):
+        with pytest.raises(CapacityError):
+            CapacityVector(bad)
+        with pytest.raises(CapacityError):
+            DemandVector(bad)
     b = CapacityVector([2, 3])
     assert b.total({0, 1}) == 5
+    assert b == (2, 3) and CapacityVector(range(1, 3)) == (1, 2)
+    # Indexing alone would wrap -1 round to the last vertex.
+    for bad_id in (-1, 2):
+        with pytest.raises(CapacityError):
+            b.total({0, bad_id})
 
 
 def test_demand_vector_validation():

@@ -101,7 +101,33 @@ def test_construction_raises_the_entry_check_witness(monkeypatch):
         with pytest.raises(InfeasiblePackingError) as raised:
             find_disjoint_b_branchings(instance)
         assert str(raised.value) == f"instance is infeasible: {verdict}"
+        assert raised.value.feasibility == verdict
     assert kinds == {"vertex", "subset"}
+
+
+def test_exists_returns_the_check_verdict_from_one_construction(monkeypatch):
+    # The single-part question is decided by the construction's entry checks
+    # alone, so the packing flows run once, and the verdict and witness are
+    # the ones check_packing_conditions reports.
+    from bbranching import packing
+
+    rng = random.Random(0xE8)
+    instances = [random_packing_instance(rng, 6, 10, 3, 1, loop_rate=0.1) for _ in range(300)]
+    expected = []
+    for instance in instances:
+        verdict = check_packing_conditions(instance)
+        part = find_disjoint_b_branchings(instance).branchings[0] if verdict else None
+        expected.append((verdict, part))
+    monkeypatch.setattr(packing, "_packing_conditions", None)
+    monkeypatch.setattr(packing, "check_packing_conditions", None)
+    kinds = set()
+    for instance, (verdict, part) in zip(instances, expected):
+        got = exists_b_branching_with_indegree(
+            instance.graph, instance.capacities, instance.demands[0]
+        )
+        assert got == (verdict, part)
+        kinds.add("ok" if verdict else "vertex" if verdict.vertex is not None else "subset")
+    assert kinds == {"ok", "vertex", "subset"}
 
 
 def test_classical_disjoint_branchings_special_case():
@@ -242,7 +268,7 @@ def test_min_weight_matches_reference():
                 if best[0] is None or acc < best[0]:
                     best[0] = acc
                 return
-            for part in parts_for(instance.demands[i].as_dict(), available):
+            for part in parts_for(instance.demands[i], available):
                 search(i + 1, available - part, acc + sum(wv.numerators[a] for a in part))
 
         search(0, frozenset(g.arc_ids), 0)

@@ -107,7 +107,7 @@ def test_matroid_restricted_matches_reference():
 
 def run(graph, capacities, weights):
     wnum = {a: w for a, w in enumerate(WeightVector.from_values(weights).numerators) if w >= 0}
-    return _run_phases(graph, capacities.as_dict(), wnum, {})
+    return _run_phases(graph, capacities, wnum, {})
 
 
 def test_phase_and_contraction_counts_are_bounded():
