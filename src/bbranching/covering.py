@@ -91,14 +91,17 @@ def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) ->
     if not feasibility:
         raise InfeasiblePackingError(feasibility, "cover conditions violated")
     parts = _augmented_cover_parts(graph, capacities, k)
-    return [BBranching.of(graph, capacities, part) for part in parts]
+    # Up to k - 1 parts are empty: validate that one once and repeat it.
+    empty = BBranching.of(graph, capacities, frozenset())
+    return [BBranching.of(graph, capacities, part) if part else empty for part in parts]
 
 
 def _multiplicity_graph(graph: Digraph, multiplicity: Sequence[int]) -> tuple[Digraph, list[int]]:
     """Multigraph carrying `multiplicity[a]` copies of each arc, plus the
     copy-to-original map."""
     origin = [a for a in graph.arc_ids for _ in range(multiplicity[a])]
-    return Digraph.from_pairs(graph.vertex_count, map(graph.endpoints, origin)), origin
+    tails, heads = graph.tails, graph.heads
+    return Digraph.from_pairs(graph.vertex_count, [(tails[a], heads[a]) for a in origin]), origin
 
 
 def _try_repair_duplicates(

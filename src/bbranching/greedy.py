@@ -204,9 +204,9 @@ def max_weight_b_branching(
     arcs, so selection and merging take O(|A| log^2 |A|) over a run; each
     phase's search for tight components walks only the selected arcs
     behind its new vertices, at most O(|V| + |A|).  The engine records each
-    contracted set's potential, so the dual replay makes one enclosure pass
-    (each arc moving between lists merged smaller into larger, each set
-    expanded once, O(|A| log |A|) plus the total set size) and then one
+    contracted set's potential, so the dual replay costs O(C^2/w) word
+    operations for the path bits of C contractions, one AND of C-bit
+    integers per arc, the total set size to expand the sets, and one
     selection per vertex, a sort of its entering arcs' charged weights.
     """
     capacities.check_domain(graph)
@@ -227,10 +227,13 @@ def dual_from_run(
 
     Each contracted component, expanded back to original vertices, takes the
     potential the phase engine recorded for it, and charges it to every arc
-    it encloses.  One pass over the history finds, per arc, the first set
-    that encloses it; the arc's charge is that set's potential plus those of
-    every set above it in the laminar forest, summed top-down.  A vertex
-    potential is then one selection per vertex: the b(v)-th largest of
+    it encloses.  The sets holding both ends of an arc are the path in the
+    contraction forest from the first of them to the root, so one walk down
+    the forest gives each contraction one bit and each vertex the bits of
+    its path: O(C^2/w) word operations for C contractions.  An arc's charge
+    is then read at the lowest common bit of its ends, one AND of C-bit
+    integers, and expanding the sets costs their total size.  A vertex
+    potential is one selection per vertex: the b(v)-th largest of
     weight less charge over the kept arcs entering it, or 0 when that is
     negative or there are fewer.  Arc slacks absorb the rest.
     """
@@ -240,60 +243,37 @@ def dual_from_run(
     steps = [step for phase in history for step in phase]
     link = {m: step.new_vertex for step in steps for m in step.merged}
 
-    # The kept arcs (negative ones never enter the solver's working graph)
-    # between contracted vertices, as (arc, tail, head) at both ends; a
-    # contraction finds the arcs it encloses by scanning every member's list
-    # but the longest, which the new vertex inherits.
-    touching: dict[int, list] = {v: [] for v in graph.vertices if v in link}
-    loops: dict[int, list[int]] = {}
-    for a, t, h in graph.arcs():
-        if nums[a] < 0 or h not in touching:
-            continue
-        if t == h:
-            loops.setdefault(h, []).append(a)
-        elif t in touching:
-            arc = (a, t, h)
-            touching[t].append(arc)
-            touching[h].append(arc)
-
-    owner = {v: v for v in touching}
+    # Each contracted set, expanded back to original vertices once.
     expansion: dict[int, list[int]] = {}
-    enclosed_by: dict[int, int] = {}  # arc -> the contraction that enclosed it
     sets: list[tuple[frozenset, int]] = []
     for step in steps:
-        z = step.new_vertex
         inside: list[int] = []
-        lists = []
         for m in step.merged:
             if m in expansion:
                 inside.extend(expansion.pop(m))
             else:
                 inside.append(m)
-                for a in loops.get(m, ()):
-                    enclosed_by[a] = z
-            lists.append(touching.pop(m))
-        for v in inside:
-            owner[v] = z
-        lists.sort(key=len)
-        touching[z] = inherited = lists.pop()
-        for arcs in lists:
-            for arc in arcs:
-                a, t, h = arc
-                if owner[t] != z or owner[h] != z:
-                    inherited.append(arc)
-                elif a not in enclosed_by:
-                    enclosed_by[a] = z
         if step.potential:
             sets.append((frozenset(inside), step.potential))
-        expansion[z] = inside
+        expansion[step.new_vertex] = inside
 
-    # An arc's charge is the potential of the set that enclosed it first
-    # plus those of every set above that one.
-    above: dict[int, int] = {}
-    for step in reversed(steps):
-        z = step.new_vertex
-        above[z] = step.potential + above.get(link.get(z), 0)
-    net = [w - above[enclosed_by[a]] if a in enclosed_by else w for a, w in enumerate(nums)]
+    # Contraction i owns bit i.  A parent comes after its children in the
+    # history, so the reverse walk meets it first: above[z] holds the summed
+    # potentials and the bits of z's contraction and every one above it.
+    # The contractions holding both ends of an arc are the common bits of
+    # its ends; the lowest is the first, whose charge covers the rest.  A
+    # negative arc is charged too, which keeps it below every vertex potential.
+    above: dict[int, tuple[int, int]] = {}
+    for i in reversed(range(len(steps))):
+        z = steps[i].new_vertex
+        charge, bits = above.get(link.get(z), (0, 0))
+        above[z] = (charge + steps[i].potential, bits | 1 << i)
+    charges = [above[step.new_vertex][0] for step in steps]
+    path = [above[link[v]][1] if v in link else 0 for v in graph.vertices]
+    net = [
+        w - charges[(both & -both).bit_length() - 1] if (both := path[t] & path[h]) else w
+        for w, t, h in zip(nums, graph.tails, graph.heads)
+    ]
 
     p_vertex_num: dict[int, int] = {}
     q_num: dict[int, int] = {}

@@ -170,10 +170,10 @@ def _packing_network(
         for r in graph.vertices:
             if demand[r] < capacities[r]:
                 _add_arc(net, n + 1 + i, r, k + 1)
+    tails, heads = graph.tails, graph.heads
     for a in alive:
-        tail, head = graph.endpoints(a)
-        if tail != head:
-            _add_arc(net, tail, head, 1)
+        if tails[a] != heads[a]:
+            _add_arc(net, tails[a], heads[a], 1)
     return net
 
 
@@ -223,6 +223,7 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
     n, k = graph.vertex_count, len(demands)
+    tails, heads = graph.tails, graph.heads
 
     while True:
         active_index = None
@@ -268,19 +269,14 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         sources = tight & (zero | partial)
         targets = tight & (partial | full)
         arc = min(
-            (
-                a
-                for a in alive
-                if graph.tail(a) in sources and graph.head(a) in targets
-            ),
-            default=None,
+            (a for a in alive if tails[a] in sources and heads[a] in targets), default=None
         )
         if arc is None:
             raise AssertionError("a transferable arc must exist inside the tight set")
 
         parts[active_index].add(arc)
         alive.discard(arc)
-        active[graph.head(arc)] -= 1
+        active[heads[arc]] -= 1
 
     branchings = tuple(frozenset(part) for part in parts)
     for demand, part in zip(instance.demands, branchings):
@@ -332,10 +328,11 @@ def min_weight_disjoint_b_branchings(
     union_size = sum(needed.values())
 
     best: Optional[tuple[int, tuple[int, ...]]] = None
+    tails, heads = graph.tails, graph.heads
     for combo in combinations(graph.arc_ids, union_size):
         profile: dict[int, int] = {}
         for a in combo:
-            h = graph.head(a)
+            h = heads[a]
             profile[h] = profile.get(h, 0) + 1
         if any(profile.get(v, 0) != needed[v] for v in graph.vertices):
             continue
@@ -350,7 +347,7 @@ def min_weight_disjoint_b_branchings(
     # Arc i of `sub` is union[i], and `union` ascends, so the construction's
     # smallest-id rule picks the arcs it would pick in `graph`.
     union = best[1]
-    sub = Digraph.from_pairs(graph.vertex_count, map(graph.endpoints, union))
+    sub = Digraph.from_pairs(graph.vertex_count, [(tails[a], heads[a]) for a in union])
     result = find_disjoint_b_branchings(PackingInstance(sub, instance.capacities, instance.demands))
     parts = tuple(frozenset(union[i] for i in part) for part in result.branchings)
     for part in parts:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from bbranching import (
+    BBranching,
     CapacityVector,
     DecompositionError,
     Digraph,
@@ -89,10 +90,10 @@ def test_cover_partitions_random_instances():
     assert built > 25
 
 
-@pytest.mark.parametrize(
-    "pairs, caps",
-    [([(0, 1)], [1, 1]), ([], [1, 2]), ([(0, 1), (1, 0), (0, 2), (2, 2)], [1, 1, 2])],
-)
+SMALL_COVERS = [([(0, 1)], [1, 1]), ([], [1, 2]), ([(0, 1), (1, 0), (0, 2), (2, 2)], [1, 1, 2])]
+
+
+@pytest.mark.parametrize("pairs, caps", SMALL_COVERS)
 def test_cover_packing_size_does_not_grow_with_k(monkeypatch, pairs, caps):
     g = Digraph.from_pairs(len(caps), pairs)
     b = CapacityVector(caps)
@@ -111,6 +112,24 @@ def test_cover_packing_size_does_not_grow_with_k(monkeypatch, pairs, caps):
         assert is_b_branching(g, b, part.arcs)
         seen.update(part.arcs)
     assert set(seen) == set(g.arc_ids) and all(c == 1 for c in seen.values())
+
+
+@pytest.mark.parametrize("pairs, caps", SMALL_COVERS)
+def test_cover_validates_the_empty_part_once(monkeypatch, pairs, caps):
+    g = Digraph.from_pairs(len(caps), pairs)
+    b = CapacityVector(caps)
+    k = 10**4
+    validate = BBranching.of.__func__
+    calls = []
+
+    def counting(cls, graph, capacities, arcs):
+        calls.append(arcs)
+        return validate(cls, graph, capacities, arcs)
+
+    monkeypatch.setattr(BBranching, "of", classmethod(counting))
+    parts = cover_by_b_branchings(g, b, k)
+    assert len(calls) <= max(1, g.arc_count) + 1
+    assert len(parts) == k and sum(len(part) for part in parts) == g.arc_count
 
 
 def test_cover_parts_unchanged_up_to_the_arc_count():

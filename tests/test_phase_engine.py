@@ -3,6 +3,8 @@ reference in helpers.py, plus deterministic counts of the work a run does."""
 
 import random
 
+import pytest
+
 from bbranching import (
     CapacityVector,
     Digraph,
@@ -73,8 +75,10 @@ def test_solutions_and_certificates_match_reference():
         assert_same_as_reference(*random_instance(rng))
 
 
-def test_contraction_chain_matches_reference():
-    assert_same_as_reference(*contraction_chain())
+@pytest.mark.parametrize("n, noise", [(60, 300), (150, 600)])
+def test_contraction_chain_matches_reference(n, noise):
+    # 149 nested sets give the dual replay path bits longer than two words.
+    assert_same_as_reference(*contraction_chain(n, noise))
 
 
 def random_oracles(rng: random.Random, graph, capacities):

@@ -59,14 +59,13 @@ def test_only_digraph_reads_graph_storage():
 
 
 def test_hot_modules_index_the_endpoint_tuples():
-    # The engine, the solvers and the feasibility checks index
+    # The engine, the solvers, the feasibility checks, packing and covering index
     # `Digraph.tails` / `Digraph.heads` / `Digraph.entering`; the
     # range-checking accessors stay for callers at the edge.  Any read of an
     # accessor counts, so binding `graph.tail` to a local name and calling
     # that is caught too.
-    hot = {"phases.py", "greedy.py", "matroids.py", "mrgreedy.py"}
+    hot = {"phases.py", "greedy.py", "matroids.py", "mrgreedy.py", "packing.py", "covering.py"}
     banned = {name: {"tail", "head", "endpoints", "in_arc_ids"} for name in hot}
-    banned.update({"packing.py": {"in_arc_ids"}, "covering.py": {"in_arc_ids"}})
     found = [
         f"{path.name}:{node.lineno}: .{node.attr}"
         for path in SOURCES
