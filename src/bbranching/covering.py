@@ -5,7 +5,8 @@ supplies every vertex with exactly enough parallel arcs to make all parts
 tight at capacity everywhere, after which the packing parts restricted to
 the original arcs partition it.  The cover condition is a closure min cut:
 k units of flow must reach every vertex from a source feeding each v with
-k b(v) - indeg(v).  Integer points of k times the feasible polytope
+k b(v) - indeg(v), the slack network that decides sparsity at k = 1.
+Integer points of k times the feasible polytope
 decompose by covering the multigraph that carries each arc with its
 multiplicity.
 """
@@ -17,14 +18,12 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .digraph import Digraph
-from .matroids import BBranching, CapacityVector, DemandVector, is_b_branching
+from .matroids import BBranching, CapacityVector, DemandVector, _slack_cuts, is_b_branching
 from .packing import (
     Feasibility,
     InfeasiblePackingError,
     PackingInstance,
-    _add_arc,
     _cut_witness,
-    _max_flow,
     find_disjoint_b_branchings,
 )
 
@@ -42,29 +41,18 @@ def check_cover_conditions(graph: Digraph, capacities: CapacityVector, k: int) -
     if k < 1:
         raise ValueError("k must be at least 1")
     capacities.check_domain(graph)
-    indeg = list(map(len, graph.entering))
-    for v, cap in enumerate(capacities):
-        if indeg[v] > k * cap:
+    supply = [k * cap - len(entering) for cap, entering in zip(capacities, graph.entering)]
+    for v, c in enumerate(supply):
+        if c < 0:
             return Feasibility(False, vertex=v)
-    # The cut into X is k b(X) - |A[X]|: loops count in indeg and in A[X]
-    # but never cross a cut.
-    n = graph.vertex_count
-    net: list[dict] = [{} for _ in range(n + 1)]
-    for v, cap in enumerate(capacities):
-        _add_arc(net, n, v, k * cap - indeg[v])
-    for _, tail, head in graph.arcs():
-        if tail != head:
-            _add_arc(net, tail, head, 1)
-    return _cut_witness([_max_flow(net, n, {v}, k) for v in range(n)], k)
+    return _cut_witness(_slack_cuts(graph, graph.arc_ids, supply, k), k)
 
 
 def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -> list[frozenset]:
-    """Partition of the arc ids into k feasible parts via root augmentation.
-
-    At most max(1, |A|) parts can be nonempty, and the cover conditions for
-    k imply them for that many parts (b >= 1), so the packing is built with
-    that many and padded with empty parts: the work does not grow with k.
-    """
+    """Partition of the arc ids into min(k, max(1, |A|)) feasible parts via
+    root augmentation: no more parts can be nonempty, and the cover
+    conditions for k imply them for that many (b >= 1), so the work does not
+    grow with k.  Callers pad to k with empty parts."""
     packed = min(k, max(1, graph.arc_count))
     root = graph.vertex_count
     pairs = [(t, h) for _, t, h in graph.arcs()]
@@ -82,7 +70,7 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
     parts = [part & original for part in result.branchings]
     if sorted(a for part in parts for a in part) != list(graph.arc_ids):
         raise AssertionError("cover parts must partition the arc set")
-    return parts + [frozenset()] * (k - packed)
+    return parts
 
 
 def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) -> list[BBranching]:
@@ -93,7 +81,8 @@ def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) ->
     parts = _augmented_cover_parts(graph, capacities, k)
     # Up to k - 1 parts are empty: validate that one once and repeat it.
     empty = BBranching.of(graph, capacities, frozenset())
-    return [BBranching.of(graph, capacities, part) if part else empty for part in parts]
+    cover = [BBranching.of(graph, capacities, part) if part else empty for part in parts]
+    return cover + [empty] * (k - len(cover))
 
 
 def _multiplicity_graph(graph: Digraph, multiplicity: Sequence[int]) -> tuple[Digraph, list[int]]:
@@ -235,6 +224,8 @@ def integer_decompose(
     if all(count <= 1 for counter in counts for count in counter.values()):
         parts = [frozenset(counter) for counter in counts]
     else:
+        # No padding needed: below k copies one part per copy was packed,
+        # so at least as many are empty as there are surplus copies.
         repaired = _try_repair_duplicates(graph, capacities, counts)
         parts = (
             repaired
@@ -249,4 +240,7 @@ def integer_decompose(
         total.update(part)
     if any(total[a] != values[a] for a in graph.arc_ids):
         raise AssertionError("parts must sum to the input vector")
-    return parts
+    padding = k - len(parts)
+    if padding and not is_b_branching(graph, capacities, frozenset()):
+        raise AssertionError("decomposed part is not feasible")
+    return parts + [frozenset()] * padding

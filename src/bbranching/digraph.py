@@ -1,5 +1,5 @@
 """Directed multigraph on vertices 0..n-1 and arcs 0..m-1, arc-subset
-queries and strong components.
+queries, strong components and the max flow behind every cut check.
 
 A problem instance is one fixed digraph: capacities, weights and every arc
 set are indexed by its vertices 0..n-1 and its arcs 0..m-1.  `Digraph`
@@ -183,6 +183,54 @@ def _component_labels(succ: list, roots: Iterable[int]) -> list[int]:
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
     return label
+
+
+def _add_arc(net: list, tail: int, head: int, capacity: int) -> None:
+    net[tail][head] = net[tail].get(head, 0) + capacity
+    net[head].setdefault(tail, 0)
+
+
+def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, frozenset]:
+    """Push up to `limit` units from `source` into `sinks` along shortest
+    augmenting paths in `net` (capacities net[u][w], left intact).  Returns
+    the flow and the nodes below `source` that reach a sink in the residual
+    network: the least minimum cut, once the flow is maximum."""
+    res = [dict(row) for row in net]
+    flow = 0
+    while flow < limit:
+        parent = {source: source}
+        queue = [source]
+        end = None
+        for u in queue:
+            for w, c in res[u].items():
+                if c > 0 and w not in parent:
+                    parent[w] = u
+                    if w in sinks:
+                        end = w
+                        break
+                    queue.append(w)
+            if end is not None:
+                break
+        if end is None:
+            break
+        path = []
+        while end != source:
+            path.append((parent[end], end))
+            end = parent[end]
+        push = min(limit - flow, min(res[u][w] for u, w in path))
+        for u, w in path:
+            res[u][w] -= push
+            res[w][u] += push
+        flow += push
+    reach = set(sinks)
+    stack = list(sinks)
+    while stack:
+        w = stack.pop()
+        for u in res[w]:
+            if u not in reach and res[u][w] > 0:
+                reach.add(u)
+                stack.append(u)
+    return flow, frozenset(u for u in reach if u < source)
 
 
 def strong_components(graph: Digraph, arcs: Iterable[int]) -> tuple[frozenset, ...]:

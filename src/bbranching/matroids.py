@@ -4,19 +4,17 @@ An arc set F is feasible ("a b-branching") when it is independent in both
 the indegree matroid (at most b(v) arcs entering each vertex v) and the
 sparsity matroid (|F[X]| <= b(X) - 1 for every nonempty vertex set X).
 For indegree-independent sets the sparsity test reduces to inspecting
-strong components, which is what the detection routine here implements.
+strong components; any arc set is decided by max flows on the network that
+decides the cover condition.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .digraph import Digraph, _check_subset, _component_labels
-
-#: Largest vertex count accepted by the brute-force sparsity fallback.
-SPARSITY_BRUTE_FORCE_LIMIT = 20
+from .digraph import Digraph, _add_arc, _check_subset, _component_labels, _max_flow
 
 
 class IndegreeDependenceError(ValueError):
@@ -275,36 +273,38 @@ def sparsity_violating_components(
     return saturated_components(graph, capacities, subset)
 
 
-def _sparsity_brute_force(graph: Digraph, capacities: CapacityVector, subset: frozenset) -> bool:
+def _slack_cuts(graph: Digraph, arcs: Iterable[int], supply: Sequence[int], k: int) -> Iterator:
+    """Lazily, per vertex v, (min over X holding v of supply(X) + rho_F(X),
+    capped at k; the least minimizer once below k).  The source feeds each v
+    with supply(v) > 0, each v with supply(v) < 0 drains into a sink t, and
+    each non-loop arc of F is a unit arc, so a cut into {v, t} costs that
+    minimum plus the total drain.  With supply = k b - indeg_F the minimum
+    is k b(X) - |F[X]|: loops count in both but never cross a cut."""
     n = graph.vertex_count
-    if n > SPARSITY_BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"brute-force sparsity check limited to {SPARSITY_BRUTE_FORCE_LIMIT} vertices, got {n}"
-        )
-    arc_masks = [(1 << t) | (1 << h) for a, t, h in graph.arcs() if a in subset]
-    for mask in range(1, 1 << n):
-        bound = sum(c for i, c in enumerate(capacities) if mask >> i & 1) - 1
-        count = 0
-        for am in arc_masks:
-            if am & mask == am:
-                count += 1
-                if count > bound:
-                    return False
-    return True
+    source, sink = n, n + 1
+    net: list[dict] = [{} for _ in range(n + 2)]
+    drain = 0
+    for v, c in enumerate(supply):
+        if c > 0:
+            _add_arc(net, source, v, c)
+        elif c < 0:
+            _add_arc(net, v, sink, -c)
+            drain -= c
+    tails, heads = graph.tails, graph.heads
+    for a in arcs:
+        if tails[a] != heads[a]:
+            _add_arc(net, tails[a], heads[a], 1)
+    cuts = (_max_flow(net, source, {v, sink}, k + drain) for v in range(n))
+    return ((flow - drain, cut) for flow, cut in cuts)
 
 
 def sparsity_independent(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:
-    """Whether |F[X]| <= b(X) - 1 for every nonempty vertex set X.
-
-    Indegree-independent sets are decided through strong components in
-    polynomial time; anything else falls back to a subset scan that is only
-    allowed on small graphs.
-    """
-    subset = frozenset(arcs)
-    try:
-        return not sparsity_violating_components(graph, capacities, subset)
-    except IndegreeDependenceError:
-        return _sparsity_brute_force(graph, capacities, subset)
+    """Whether |F[X]| <= b(X) - 1 for every nonempty vertex set X, for any
+    arc set F: one unit of slack reaches each vertex (`_slack_cuts`, k = 1)."""
+    capacities.check_domain(graph)
+    subset = _check_subset(graph, arcs)
+    supply = [b - d for b, d in zip(capacities, _in_counts(graph, subset))]
+    return all(flow >= 1 for flow, _ in _slack_cuts(graph, subset, supply, 1))
 
 
 def is_b_branching(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from .digraph import Digraph
+from .digraph import Digraph, _add_arc, _max_flow
 from .greedy import WeightVector
 from .matroids import (
     CapacityVector,
@@ -95,54 +95,6 @@ def g_value(instance: PackingInstance, subset: Iterable[int]) -> int:
     if not members.issubset(instance.graph.vertices):
         raise ValueError("unknown vertex ids")
     return _demand_count(instance.capacities, instance.demands, members)
-
-
-def _add_arc(net: list, tail: int, head: int, capacity: int) -> None:
-    net[tail][head] = net[tail].get(head, 0) + capacity
-    net[head].setdefault(tail, 0)
-
-
-def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, frozenset]:
-    """Push up to `limit` units from `source` into `sinks` along shortest
-    augmenting paths in `net` (capacities net[u][w], left intact).  Returns
-    the flow and the nodes below `source` that reach a sink in the residual
-    network: the least minimum cut, once the flow is maximum."""
-    res = [dict(row) for row in net]
-    flow = 0
-    while flow < limit:
-        parent = {source: source}
-        queue = [source]
-        end = None
-        for u in queue:
-            for w, c in res[u].items():
-                if c > 0 and w not in parent:
-                    parent[w] = u
-                    if w in sinks:
-                        end = w
-                        break
-                    queue.append(w)
-            if end is not None:
-                break
-        if end is None:
-            break
-        path = []
-        while end != source:
-            path.append((parent[end], end))
-            end = parent[end]
-        push = min(limit - flow, min(res[u][w] for u, w in path))
-        for u, w in path:
-            res[u][w] -= push
-            res[w][u] += push
-        flow += push
-    reach = set(sinks)
-    stack = list(sinks)
-    while stack:
-        w = stack.pop()
-        for u in res[w]:
-            if u not in reach and res[u][w] > 0:
-                reach.add(u)
-                stack.append(u)
-    return flow, frozenset(u for u in reach if u < source)
 
 
 def _cut_witness(cuts: list, k: int) -> Feasibility:

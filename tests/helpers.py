@@ -1,5 +1,5 @@
 """Shared random-instance generators and the test-only reference
-implementations (sparsity check, certificate verifier, vertex-set
+implementations (sparsity scan and check, certificate verifier, vertex-set
 contraction, phase engine, dual replay, and the subset-scan packing and
 cover checks and construction)
 for the test suite."""
@@ -83,6 +83,17 @@ def random_indegree_independent_set(rng: random.Random, graph: Digraph, capaciti
         take = rng.randint(0, min(capacities[v], len(pool)))
         chosen.extend(pool[:take])
     return frozenset(chosen)
+
+
+def reference_sparsity(graph: Digraph, capacities, arcs: Iterable[int]) -> bool:
+    """Whether |F[X]| <= b(X) - 1 for every nonempty vertex set X, by a scan
+    of all 2^n - 1 of them (vertex sets as bitmasks) for any arc set F."""
+    masks = [(1 << graph.tail(a)) | (1 << graph.head(a)) for a in arcs]
+    for inside in range(1, 1 << graph.vertex_count):
+        bound = sum(c for v, c in enumerate(capacities) if inside >> v & 1) - 1
+        if sum(1 for mask in masks if mask & inside == mask) > bound:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from bbranching import (
 from bbranching.matroids import indegree_profile
 from bbranching.oracle import brute_max_weight_restricted
 
-from helpers import random_indegree_independent_set
+from helpers import random_indegree_independent_set, reference_sparsity
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -96,19 +96,6 @@ def test_criterion_2_tdi_certificates():
     _report("2 TDI certificates", True, "200 certificates, exact")
 
 
-def _brute_sparsity_holds(graph, capacities, arcs):
-    verts = graph.vertices
-    for size in range(1, len(verts) + 1):
-        for combo in combinations(verts, size):
-            inside = set(combo)
-            count = sum(
-                1 for a in arcs if graph.tail(a) in inside and graph.head(a) in inside
-            )
-            if count > capacities.total(inside) - 1:
-                return False
-    return True
-
-
 def test_criterion_3_component_detection_equivalence():
     rng = random.Random(0xB3)
     circuits_seen = 0
@@ -124,7 +111,7 @@ def test_criterion_3_component_detection_equivalence():
         capacities = CapacityVector([rng.randint(1, 3) for _ in range(n)])
         arcs = random_indegree_independent_set(rng, graph, capacities)
         tight = sparsity_violating_components(graph, capacities, arcs)
-        assert (not tight) == _brute_sparsity_holds(graph, capacities, arcs)
+        assert (not tight) == reference_sparsity(graph, capacities, arcs)
         for component in tight:
             inside = frozenset(
                 a
@@ -132,9 +119,9 @@ def test_criterion_3_component_detection_equivalence():
                 if graph.tail(a) in component and graph.head(a) in component
             )
             assert len(inside) == capacities.total(component)
-            assert not _brute_sparsity_holds(graph, capacities, inside)
+            assert not reference_sparsity(graph, capacities, inside)
             for a in inside:
-                assert _brute_sparsity_holds(graph, capacities, inside - {a})
+                assert reference_sparsity(graph, capacities, inside - {a})
             circuits_seen += 1
     _report("3 component detection", True, f"500 sets, {circuits_seen} circuits checked")
 

@@ -190,6 +190,25 @@ def test_decompose_repairs_duplicate_copies():
     assert sum(1 for part in parts if 8 in part) == 2
 
 
+@pytest.mark.parametrize("vector, most", [([1], 3), ([2], 4)])
+def test_decompose_checks_do_not_grow_with_k(monkeypatch, vector, most):
+    # Each packed part is checked once and the padding, all empty, once
+    # more; a duplicate copy may first be tried in one other part.
+    import bbranching.covering as covering
+
+    calls = []
+
+    def counting(graph, capacities, arcs):
+        calls.append(arcs)
+        return is_b_branching(graph, capacities, arcs)
+
+    monkeypatch.setattr(covering, "is_b_branching", counting)
+    k = 10**4
+    parts = integer_decompose(Digraph.from_pairs(2, [(0, 1)]), CapacityVector([1, 1]), k, vector)
+    assert len(calls) <= most
+    assert parts == [frozenset({0})] * vector[0] + [frozenset()] * (k - vector[0])
+
+
 def test_peel_fallback_decomposes():
     from bbranching.covering import _peel_decomposition
 

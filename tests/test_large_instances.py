@@ -24,7 +24,8 @@ from bbranching import (
     integer_decompose,
     strong_components,
 )
-from bbranching.packing import _max_flow, _packing_network
+from bbranching.digraph import _max_flow
+from bbranching.packing import _packing_network
 
 
 def _acyclic_part(rng, b):

@@ -76,17 +76,41 @@ def test_hot_modules_index_the_endpoint_tuples():
     assert {p.name for p in SOURCES} >= set(banned) and not found, f"accessor reads: {found}"
 
 
+def _names(node):
+    """The identifiers a node binds or reads: a name, an attribute, a
+    definition or an imported alias."""
+    return {getattr(node, key, None) for key in ("id", "attr", "name")}
+
+
 def test_only_the_oracle_scans_vertex_sets():
     # The checks and the construction decide by max flow; the 2^n scan
     # serves tests and `--oracle` only, so no other library module names it
-    # (the package root re-exports it from `oracle`).
+    # (the package root re-exports it from `oracle`).  Sparsity had a scan
+    # of its own, with a 20-vertex gate; neither name may come back.
+    scans = {"brute_min_set_function", "_sparsity_brute_force", "SPARSITY_BRUTE_FORCE_LIMIT"}
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{node.lineno}: {sorted(_names(node) & scans)}"
         for path in SOURCES
         if path.name != "oracle.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if "brute_min_set_function"
-        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if _names(node) & scans
         and not (path.name == "__init__.py" and isinstance(node, ast.alias))
     ]
     assert SOURCES and not found, f"subset scan named outside oracle.py: {found}"
+
+
+def test_max_flow_is_written_once():
+    # `_max_flow` and `_add_arc` are defined in digraph.py only, and only
+    # the slack network (matroids.py) and the packing network (packing.py)
+    # are built from them.
+    flow = {"_max_flow", "_add_arc"}
+    builders = {"digraph.py", "matroids.py", "packing.py"}
+    defined, named = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in flow:
+                defined.append(path.name)
+            elif _names(node) & flow and path.name not in builders:
+                named.append(f"{path.name}:{node.lineno}")
+    assert sorted(defined) == ["digraph.py", "digraph.py"], defined
+    assert not named, f"max flow used outside the two networks: {named}"
