@@ -8,6 +8,7 @@ diagnostics go to standard error; output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -393,7 +394,10 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="bbranching",
         description="Degree-capped branchings: optimization, packing, covering, decomposition.",

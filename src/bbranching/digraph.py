@@ -13,7 +13,7 @@ tuples for hot loops to index; public functions check a caller's ids once
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 
 def _count_ids(ids: Iterable[int], kind: str) -> int:
@@ -190,11 +190,11 @@ def _add_arc(net: list, tail: int, head: int, capacity: int) -> None:
     net[head].setdefault(tail, 0)
 
 
-def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, frozenset]:
+def _augment(net: list, source: int, sinks: set, limit: int) -> tuple[int, list]:
     """Push up to `limit` units from `source` into `sinks` along shortest
-    augmenting paths in `net` (capacities net[u][w], left intact).  Returns
-    the flow and the nodes below `source` that reach a sink in the residual
-    network: the least minimum cut, once the flow is maximum."""
+    augmenting paths in `net` (residual capacities net[u][w], left intact).
+    Returns the flow and the residual network it leaves, a fresh copy, so a
+    residual can be passed back in to augment from the flow it holds."""
     res = [dict(row) for row in net]
     flow = 0
     while flow < limit:
@@ -222,15 +222,46 @@ def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, froz
             res[u][w] -= push
             res[w][u] += push
         flow += push
-    reach = set(sinks)
-    stack = list(sinks)
+    return flow, res
+
+
+def _least_cut(
+    res: list,
+    source: int,
+    sinks: Iterable[int],
+    reached: frozenset = frozenset(),
+    most: Optional[int] = None,
+) -> Optional[frozenset]:
+    """The nodes below `source` that reach a sink in the residual network
+    `res`: the least minimum cut into `sinks` once the flow behind `res` is
+    maximum.  `reached` may hold nodes below `source` known to reach a sink,
+    together with every node below `source` that reaches them; they are not
+    walked again.  None once the cut would hold more than `most` nodes."""
+    reach = set(reached)
+    stack = [w for w in sinks if w not in reach]
+    reach.update(stack)
+    size = len(reached) + sum(1 for w in stack if w < source)
+    if most is not None and size > most:
+        return None
     while stack:
         w = stack.pop()
         for u in res[w]:
             if u not in reach and res[u][w] > 0:
                 reach.add(u)
                 stack.append(u)
-    return flow, frozenset(u for u in reach if u < source)
+                if u < source:
+                    size += 1
+                    if most is not None and size > most:
+                        return None
+    return frozenset(u for u in reach if u < source)
+
+
+def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, frozenset]:
+    """Push up to `limit` units from `source` into `sinks` (`_augment`).
+    Returns the flow and the nodes below `source` that reach a sink in the
+    residual network: the least minimum cut, once the flow is maximum."""
+    flow, res = _augment(net, source, sinks, limit)
+    return flow, _least_cut(res, source, sinks)
 
 
 def strong_components(graph: Digraph, arcs: Iterable[int]) -> tuple[frozenset, ...]:

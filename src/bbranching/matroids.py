@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .digraph import Digraph, _add_arc, _check_subset, _component_labels, _max_flow
+from .digraph import Digraph, _add_arc, _augment, _check_subset, _component_labels, _least_cut
 
 
 class IndegreeDependenceError(ValueError):
@@ -275,11 +275,13 @@ def sparsity_violating_components(
 
 def _slack_cuts(graph: Digraph, arcs: Iterable[int], supply: Sequence[int], k: int) -> Iterator:
     """Lazily, per vertex v, (min over X holding v of supply(X) + rho_F(X),
-    capped at k; the least minimizer once below k).  The source feeds each v
-    with supply(v) > 0, each v with supply(v) < 0 drains into a sink t, and
-    each non-loop arc of F is a unit arc, so a cut into {v, t} costs that
-    minimum plus the total drain.  With supply = k b - indeg_F the minimum
-    is k b(X) - |F[X]|: loops count in both but never cross a cut."""
+    capped at k; the least minimizer once below k, else None).  The source
+    feeds each v with supply(v) > 0, each v with supply(v) < 0 drains into a
+    sink t, and each non-loop arc of F is a unit arc, so a cut into {v, t}
+    costs that minimum plus the total drain.  With supply = k b - indeg_F
+    the minimum is k b(X) - |F[X]|: loops count in both but never cross a
+    cut.  The drain is routed into t once, and each vertex's flow augments
+    from that residual; one below its cap is maximum, so its cut is read."""
     n = graph.vertex_count
     source, sink = n, n + 1
     net: list[dict] = [{} for _ in range(n + 2)]
@@ -294,8 +296,11 @@ def _slack_cuts(graph: Digraph, arcs: Iterable[int], supply: Sequence[int], k: i
     for a in arcs:
         if tails[a] != heads[a]:
             _add_arc(net, tails[a], heads[a], 1)
-    cuts = (_max_flow(net, source, {v, sink}, k + drain) for v in range(n))
-    return ((flow - drain, cut) for flow, cut in cuts)
+    drained, res = _augment(net, source, {sink}, drain)
+    for v in range(n):
+        pushed, res_v = _augment(res, source, {v, sink}, k + drain - drained)
+        flow = drained + pushed - drain
+        yield flow, (_least_cut(res_v, source, (v, sink)) if flow < k else None)
 
 
 def sparsity_independent(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from .digraph import Digraph, _add_arc, _max_flow
+from .digraph import Digraph, _add_arc, _augment, _least_cut, _max_flow
 from .greedy import WeightVector
 from .matroids import (
     CapacityVector,
@@ -176,6 +176,11 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     pointer = 0
     n, k = graph.vertex_count, len(demands)
     tails, heads = graph.tails, graph.heads
+    net = _packing_network(graph, capacities, alive, demands)
+    # Per vertex v, the residual of a flow of value k into v, or None once a
+    # commit broke it.  k is the source's whole out-capacity, so a kept flow
+    # stays maximum and its residual gives the least cut into v.
+    residuals: list = [None] * n
 
     while True:
         active_index = None
@@ -196,16 +201,20 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         # These flows check the cut condition on entry or after the last
         # commit.  A commit lowers one alive indegree and demand together, so
         # degrees stay fine; after the final commit no set is saturated.
-        net = _packing_network(graph, capacities, alive, demands)
-        cuts = [_max_flow(net, n, {v}, k) for v in graph.vertices]
-        if any(flow < k for flow, _ in cuts):
+        flows = [k] * n
+        for v in graph.vertices:
+            if residuals[v] is None:
+                flows[v], residuals[v] = _augment(net, n, {v}, k)
+        least = [_least_cut(res, n, (v,)) for v, res in enumerate(residuals)]
+        if any(flow < k for flow in flows):
             if len(alive) == graph.arc_count:
-                raise InfeasiblePackingError(_cut_witness(cuts, k))
+                raise InfeasiblePackingError(_cut_witness(list(zip(flows, least)), k))
             raise AssertionError("committing an arc must preserve the packing conditions")
         # The least tight set meeting zero | partial and not inside zero (V is
         # one) is the least tight set holding one of its members, or else one
         # holding u in zero and w in full whose own stay inside zero and full.
-        least = [cut for _, cut in cuts]
+        # The flow into u is a maximum flow into {u, w} as well, so the least
+        # cut into the pair is what reaches it in u's residual.
         best = min(
             [(n, list(graph.vertices))]
             + [(len(c), sorted(c)) for c in least if c & (zero | partial) and c - zero]
@@ -214,8 +223,9 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
             if least[u] <= zero:
                 for w in full:
                     if least[w] <= full and len(least[u] | least[w]) <= best[0]:
-                        cut = _max_flow(net, n, {u, w}, k)[1]
-                        best = min(best, (len(cut), sorted(cut)))
+                        cut = _least_cut(residuals[u], n, (w,), least[u], best[0])
+                        if cut is not None:
+                            best = min(best, (len(cut), sorted(cut)))
         tight = frozenset(best[1])
 
         sources = tight & (zero | partial)
@@ -228,7 +238,20 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
 
         parts[active_index].add(arc)
         alive.discard(arc)
-        active[heads[arc]] -= 1
+        # Edit the network and every kept residual in place.  The arc leaves
+        # (loops are not in the network); where the demand at h drops below
+        # b(h), its demand node starts to feed h.  A residual keeps its flow
+        # while the arc has a unit to spare in it; the feed only adds room.
+        tail, head = tails[arc], heads[arc]
+        feed = active[head] == capacities[head]
+        active[head] -= 1
+        if tail != head:
+            residuals = [res if res[tail][head] >= 1 else None for res in residuals]
+        for res in [net] + [res for res in residuals if res is not None]:
+            if tail != head:
+                res[tail][head] -= 1
+            if feed:
+                _add_arc(res, n + 1 + active_index, head, k + 1)
 
     branchings = tuple(frozenset(part) for part in parts)
     for demand, part in zip(instance.demands, branchings):

@@ -74,6 +74,37 @@ def random_packing_instance(
     return PackingInstance(graph, capacities, tuple(demands))
 
 
+def planted_parts(rng: random.Random, n: int, k: int) -> tuple[CapacityVector, list, list]:
+    """Unit capacities with n // 4 vertices of capacity 2, and k feasible
+    parts, each acyclic along its own random vertex order: every vertex but
+    the first receives b(v) arcs from earlier ones.  Returns (b, arc pairs
+    of all parts in shuffled order, each part's indegrees)."""
+    b = [1] * n
+    for v in rng.sample(range(n), n // 4):
+        b[v] = 2
+    pairs, indegrees = [], []
+    for _ in range(k):
+        order = rng.sample(range(n), n)
+        indegree = [0] * n
+        for pos in range(1, n):
+            head = order[pos]
+            pairs += [(order[rng.randrange(pos)], head) for _ in range(b[head])]
+            indegree[head] = b[head]
+        indegrees.append(indegree)
+    rng.shuffle(pairs)
+    return CapacityVector(b), pairs, indegrees
+
+
+def planted_packing_instance(rng: random.Random, n: int, k: int) -> PackingInstance:
+    """k planted disjoint parts plus n // 2 noise arcs; the demands are the
+    parts' indegrees, so the instance is feasible."""
+    b, pairs, indegrees = planted_parts(rng, n, k)
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+    rng.shuffle(pairs)
+    demands = tuple(map(DemandVector, indegrees))
+    return PackingInstance(Digraph.from_pairs(n, pairs), b, demands)
+
+
 def random_indegree_independent_set(rng: random.Random, graph: Digraph, capacities: CapacityVector) -> frozenset:
     """Random arc subset respecting every vertex capacity."""
     chosen: list[int] = []

@@ -9,6 +9,8 @@ from packing, cover and decomposition.
 
 import random
 
+import pytest
+
 from bbranching import (
     CapacityVector,
     DecompositionError,
@@ -25,6 +27,8 @@ from bbranching import (
 )
 
 from helpers import (
+    planted_packing_instance,
+    planted_parts,
     reference_check_packing,
     reference_cover_conditions,
     reference_disjoint_b_branchings,
@@ -145,3 +149,21 @@ def test_pair_of_least_cuts_decides_the_tight_set():
     assert reference_disjoint_b_branchings(instance).branchings == expected
     assert find_disjoint_b_branchings(instance).branchings == expected
 
+
+@pytest.mark.parametrize("seed", range(10))
+def test_construction_matches_the_scan_past_seven_vertices(seed, monkeypatch):
+    # Kept flows live through many more commits on 8 to 10 vertices than on
+    # the 7 above: one planted 2-part pack and one planted 2-part cover per
+    # seed, each against the construction that scans for its tight sets.
+    # The cover's augmented graph has a root more, so it stops at 9.
+    rng = random.Random(0xB8 + seed)
+    instance = planted_packing_instance(rng, rng.randint(8, 10), 2)
+    expected = reference_disjoint_b_branchings(instance).branchings
+    assert find_disjoint_b_branchings(instance).branchings == expected
+
+    n = rng.randint(8, 9)
+    b, pairs, _ = planted_parts(rng, n, 2)
+    graph = Digraph.from_pairs(n, pairs)
+    cover = [sorted(p.arcs) for p in cover_by_b_branchings(graph, b, 2)]
+    monkeypatch.setattr(covering, "find_disjoint_b_branchings", reference_disjoint_b_branchings)
+    assert cover == [sorted(p.arcs) for p in cover_by_b_branchings(graph, b, 2)]

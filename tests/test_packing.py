@@ -20,7 +20,7 @@ from bbranching import (
 )
 from bbranching.matroids import CapacityError, indegree_profile
 
-from helpers import random_packing_instance
+from helpers import planted_packing_instance, random_packing_instance
 
 
 def test_g_value_examples():
@@ -128,6 +128,36 @@ def test_exists_returns_the_check_verdict_from_one_construction(monkeypatch):
         assert got == (verdict, part)
         kinds.add("ok" if verdict else "vertex" if verdict.vertex is not None else "subset")
     assert kinds == {"ok", "vertex", "subset"}
+
+
+def test_construction_keeps_its_flows_across_commits(monkeypatch):
+    # The first step runs one fresh flow per vertex; later steps rerun only
+    # the flows a commit broke, and pair cuts are read off kept residuals,
+    # so no flow ever goes into two vertices.
+    from bbranching import packing
+
+    sinks_seen = []
+    augment = packing._augment
+
+    def counted(net, source, sinks, limit):
+        sinks_seen.append(frozenset(sinks))
+        return augment(net, source, sinks, limit)
+
+    monkeypatch.setattr(packing, "_augment", counted)
+    n = 30
+    instance = planted_packing_instance(random.Random(0x30), n, 2)
+    steps = sum(map(sum, instance.demands))
+    find_disjoint_b_branchings(instance)
+    assert all(len(sinks) == 1 for sinks in sinks_seen)
+    assert n <= len(sinks_seen) and 2 * (len(sinks_seen) - n) < n * steps, (len(sinks_seen), steps)
+
+    # Demand (0, 1, 1) at unit capacities: the tight set {0, 1} is found
+    # only as the least cut into the pair {0, 1}.
+    sinks_seen.clear()
+    g = Digraph.from_pairs(3, [(1, 2), (0, 2), (0, 1)])
+    pair = PackingInstance(g, CapacityVector([1, 1, 1]), (DemandVector([0, 1, 1]),))
+    assert find_disjoint_b_branchings(pair).branchings == (frozenset({0, 2}),)
+    assert sinks_seen and all(len(sinks) == 1 for sinks in sinks_seen)
 
 
 def test_classical_disjoint_branchings_special_case():

@@ -100,10 +100,11 @@ def test_only_the_oracle_scans_vertex_sets():
 
 
 def test_max_flow_is_written_once():
-    # `_max_flow` and `_add_arc` are defined in digraph.py only, and only
-    # the slack network (matroids.py) and the packing network (packing.py)
-    # are built from them.
-    flow = {"_max_flow", "_add_arc"}
+    # The flow helpers (`_augment` pushes, `_least_cut` reads the residual,
+    # `_max_flow` composes them, `_add_arc` builds) are defined in
+    # digraph.py only, and only the slack network (matroids.py) and the
+    # packing network (packing.py) use them.
+    flow = {"_max_flow", "_add_arc", "_augment", "_least_cut"}
     builders = {"digraph.py", "matroids.py", "packing.py"}
     defined, named = [], []
     for path in SOURCES:
@@ -112,5 +113,5 @@ def test_max_flow_is_written_once():
                 defined.append(path.name)
             elif _names(node) & flow and path.name not in builders:
                 named.append(f"{path.name}:{node.lineno}")
-    assert sorted(defined) == ["digraph.py", "digraph.py"], defined
+    assert sorted(defined) == ["digraph.py"] * len(flow), defined
     assert not named, f"max flow used outside the two networks: {named}"

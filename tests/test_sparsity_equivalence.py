@@ -5,7 +5,7 @@ slack-cut check for any arc set against the scan of all vertex sets."""
 
 import random
 
-from bbranching import Digraph, sparsity_independent, strong_components
+from bbranching import CapacityVector, Digraph, matroids, sparsity_independent, strong_components
 from bbranching.matroids import saturated_components
 
 from helpers import (
@@ -109,3 +109,25 @@ def test_sparsity_independent_matches_the_components_at_scale():
         assert sparsity_independent(flipped, capacities, arcs) == sparse
         outcomes.add((sparse, _breaks_a_cap(flipped, capacities, arcs)))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}, outcomes
+
+
+def test_slack_cuts_route_the_drain_once(monkeypatch):
+    # Three arcs enter vertex 1 under b = 1, so 2 units drain into the sink
+    # t = n + 1.  They are routed once; each vertex then augments from that
+    # residual, with only its own unit left to push.
+    calls = []
+    augment = matroids._augment
+
+    def counted(net, source, sinks, limit):
+        flow, res = augment(net, source, sinks, limit)
+        calls.append((frozenset(sinks), limit, flow))
+        return flow, res
+
+    monkeypatch.setattr(matroids, "_augment", counted)
+    graph = Digraph.from_pairs(4, [(0, 1), (2, 1), (3, 1)])
+    capacities = CapacityVector([1, 1, 1, 1])
+    assert sparsity_independent(graph, capacities, graph.arc_ids) is True
+    assert reference_sparsity(graph, capacities, graph.arc_ids) is True
+    sink = graph.vertex_count + 1
+    assert calls[0] == (frozenset({sink}), 2, 2)
+    assert calls[1:] == [(frozenset({v, sink}), 1, 1) for v in graph.vertices]
