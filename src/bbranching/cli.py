@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence, Union
 
-from .covering import DecompositionError, check_cover_conditions, cover_by_b_branchings, integer_decompose
+from .covering import DecompositionError, cover_by_b_branchings, integer_decompose
 from .digraph import Digraph
 from .greedy import (
     DualCertificate,
@@ -29,6 +29,7 @@ from .matroids import CapacityError, CapacityVector, DemandVector, partition_ora
 from .mrgreedy import MatroidAssignment, mr_max_weight_b_branching
 from .oracle import brute_exists_packing, brute_max_weight, brute_max_weight_restricted
 from .packing import (
+    InfeasiblePackingError,
     PackingInstance,
     check_packing_conditions,
     exists_b_branching_with_indegree,
@@ -320,12 +321,8 @@ def _packing_instance(doc: InstanceDocument) -> PackingInstance:
 
 def _cmd_pack(doc: InstanceDocument, use_oracle: bool) -> tuple[int, dict]:
     instance = _packing_instance(doc)
-    feasibility = check_packing_conditions(instance)
-    if use_oracle:
-        if brute_exists_packing(instance) != bool(feasibility):
-            raise RuntimeError("oracle disagreement on packing feasibility")
-    if not feasibility:
-        return 2, {"feasible": False, "violated": feasibility.witness()}
+    if use_oracle and brute_exists_packing(instance) != bool(check_packing_conditions(instance)):
+        raise RuntimeError("oracle disagreement on packing feasibility")
     result = find_disjoint_b_branchings(instance)
     return 0, {"branchings": [sorted(part) for part in result.branchings]}
 
@@ -333,9 +330,6 @@ def _cmd_pack(doc: InstanceDocument, use_oracle: bool) -> tuple[int, dict]:
 def _cmd_pack_min_weight(doc: InstanceDocument, use_oracle: bool) -> tuple[int, dict]:
     instance = _packing_instance(doc)
     weights = doc.weights()
-    feasibility = check_packing_conditions(instance)
-    if not feasibility:
-        return 2, {"feasible": False, "violated": feasibility.witness()}
     result = min_weight_disjoint_b_branchings(instance, weights)
     total = sum((weights.value(part) for part in result.branchings), Fraction(0))
     return 0, {
@@ -345,20 +339,12 @@ def _cmd_pack_min_weight(doc: InstanceDocument, use_oracle: bool) -> tuple[int, 
 
 
 def _cmd_cover(doc: InstanceDocument, use_oracle: bool) -> tuple[int, dict]:
-    k = doc.parts_count()
-    feasibility = check_cover_conditions(doc.graph, doc.capacities, k)
-    if not feasibility:
-        return 2, {"feasible": False, "violated": feasibility.witness()}
-    parts = cover_by_b_branchings(doc.graph, doc.capacities, k)
+    parts = cover_by_b_branchings(doc.graph, doc.capacities, doc.parts_count())
     return 0, {"branchings": [sorted(part.arcs) for part in parts]}
 
 
 def _cmd_decompose(doc: InstanceDocument, use_oracle: bool) -> tuple[int, dict]:
-    k = doc.parts_count()
-    try:
-        parts = integer_decompose(doc.graph, doc.capacities, k, doc.multiplicity())
-    except DecompositionError as exc:
-        return 2, {"feasible": False, "violated": exc.witness}
+    parts = integer_decompose(doc.graph, doc.capacities, doc.parts_count(), doc.multiplicity())
     return 0, {"parts": [sorted(part) for part in parts]}
 
 
@@ -450,6 +436,10 @@ def run(argv: Sequence[str]) -> int:
                 file=sys.stderr,
             )
         code, payload = _HANDLERS[args.command](doc, args.oracle)
+    except InfeasiblePackingError as exc:
+        code, payload = 2, {"feasible": False, "violated": exc.feasibility.witness()}
+    except DecompositionError as exc:
+        code, payload = 2, {"feasible": False, "violated": exc.witness}
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -64,7 +64,10 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
     instance = PackingInstance(
         augmented, CapacityVector((*capacities, 1)), tuple(demand for _ in range(packed))
     )
-    result = find_disjoint_b_branchings(instance)
+    try:
+        result = find_disjoint_b_branchings(instance)
+    except InfeasiblePackingError:
+        raise AssertionError("the cover conditions must make the packing feasible") from None
 
     original = frozenset(graph.arc_ids)
     parts = [part & original for part in result.branchings]

@@ -256,14 +256,6 @@ def _least_cut(
     return frozenset(u for u in reach if u < source)
 
 
-def _max_flow(net: list, source: int, sinks: set, limit: int) -> tuple[int, frozenset]:
-    """Push up to `limit` units from `source` into `sinks` (`_augment`).
-    Returns the flow and the nodes below `source` that reach a sink in the
-    residual network: the least minimum cut, once the flow is maximum."""
-    flow, res = _augment(net, source, sinks, limit)
-    return flow, _least_cut(res, source, sinks)
-
-
 def strong_components(graph: Digraph, arcs: Iterable[int]) -> tuple[frozenset, ...]:
     """Strong components of (V, F) for the arc subset F.
 

@@ -314,10 +314,11 @@ def sparsity_independent(graph: Digraph, capacities: CapacityVector, arcs: Itera
 
 def is_b_branching(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:
     """Conjunction of the indegree and sparsity independence tests."""
-    try:
-        return not sparsity_violating_components(graph, capacities, arcs)
-    except IndegreeDependenceError:
-        return False
+    capacities.check_domain(graph)
+    subset = _check_subset(graph, arcs)
+    return _within(capacities, _in_counts(graph, subset)) and not saturated_components(
+        graph, capacities, subset
+    )
 
 
 @dataclass(frozen=True)

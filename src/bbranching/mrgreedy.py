@@ -14,12 +14,7 @@ from typing import Iterable, Mapping, Union
 
 from .digraph import Digraph
 from .greedy import RationalLike, WeightVector
-from .matroids import (
-    CapacityVector,
-    IndegreeDependenceError,
-    MatroidOracle,
-    sparsity_violating_components,
-)
+from .matroids import CapacityVector, MatroidOracle, _in_counts, _within, saturated_components
 from .phases import OracleInconsistencyError, _run_phases
 
 
@@ -68,10 +63,8 @@ def mr_max_weight_b_branching(
         mine = [a for a in entering if a in final]
         if not oracles[v].is_independent(mine):
             raise OracleInconsistencyError(f"output is dependent at vertex {v}")
-    try:
-        violating = sparsity_violating_components(graph, capacities, final)
-    except IndegreeDependenceError:
-        raise OracleInconsistencyError("output exceeds a vertex capacity") from None
-    if violating:
+    if not _within(capacities, _in_counts(graph, final)):
+        raise OracleInconsistencyError("output exceeds a vertex capacity")
+    if saturated_components(graph, capacities, final):
         raise AssertionError("output violates the sparsity constraints")
     return final

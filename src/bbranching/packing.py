@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
-from .digraph import Digraph, _add_arc, _augment, _least_cut, _max_flow
+from .digraph import Digraph, _add_arc, _augment, _least_cut
 from .greedy import WeightVector
 from .matroids import (
     CapacityVector,
@@ -132,16 +132,21 @@ def _packing_network(
 def _packing_conditions(
     graph: Digraph,
     capacities: CapacityVector,
-    alive: frozenset,
+    alive: AbstractSet[int],
     demands: Sequence[Sequence[int]],
-) -> Feasibility:
-    """Degree condition per vertex, then the cut condition via max flow."""
+) -> tuple[Feasibility, Optional[list], Optional[list]]:
+    """Degree condition per vertex, then the cut condition: one flow of up to
+    k units into each vertex, whose least cut is read only when it falls
+    short.  Returns the verdict, the packing network and per vertex the
+    residual of its flow; both are None when a degree condition fails."""
     for v, entering in enumerate(graph.entering):
         if sum(1 for a in entering if a in alive) < sum(d[v] for d in demands):
-            return Feasibility(False, vertex=v)
+            return Feasibility(False, vertex=v), None, None
     n, k = graph.vertex_count, len(demands)
     net = _packing_network(graph, capacities, alive, demands)
-    return _cut_witness([_max_flow(net, n, {v}, k) for v in range(n)], k)
+    flows = [_augment(net, n, {v}, k) for v in range(n)]
+    short = [(flow, _least_cut(res, n, (v,))) for v, (flow, res) in enumerate(flows) if flow < k]
+    return _cut_witness(short, k), net, [res for _, res in flows]
 
 
 def check_packing_conditions(instance: PackingInstance) -> Feasibility:
@@ -149,7 +154,7 @@ def check_packing_conditions(instance: PackingInstance) -> Feasibility:
     graph = instance.graph
     return _packing_conditions(
         graph, instance.capacities, frozenset(graph.arc_ids), instance.demands
-    )
+    )[0]
 
 
 def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
@@ -160,27 +165,25 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     meets the active demand's frontier, then commits the smallest-id arc
     running within it from the unsaturated side into the demanded side.
     Every step preserves both feasibility conditions (checked), so the loop
-    always completes.  On an infeasible instance it raises
-    InfeasiblePackingError carrying `check_packing_conditions`'s verdict.
+    always completes.  The entry step is the packing check itself: on an
+    infeasible instance it raises InfeasiblePackingError carrying
+    `check_packing_conditions`'s verdict, else the first step starts from
+    the check's flows.
     """
     graph = instance.graph
     capacities = instance.capacities
     alive = set(graph.arc_ids)
     demands = [list(d) for d in instance.demands]  # each commit lowers one entry
-    # Entry check.  With no first step all demands are 0 and k units reach
-    # each vertex from the demand nodes.
-    for v, entering in enumerate(graph.entering):
-        if len(entering) < sum(d[v] for d in demands):
-            raise InfeasiblePackingError(Feasibility(False, vertex=v))
+    # Per vertex v, the residual of a flow of value k into v, or None once a
+    # commit broke it.  k is the source's whole out-capacity, so a kept flow
+    # stays maximum and its residual gives the least cut into v.
+    verdict, net, residuals = _packing_conditions(graph, capacities, alive, demands)
+    if not verdict:
+        raise InfeasiblePackingError(verdict)
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
     n, k = graph.vertex_count, len(demands)
     tails, heads = graph.tails, graph.heads
-    net = _packing_network(graph, capacities, alive, demands)
-    # Per vertex v, the residual of a flow of value k into v, or None once a
-    # commit broke it.  k is the source's whole out-capacity, so a kept flow
-    # stays maximum and its residual gives the least cut into v.
-    residuals: list = [None] * n
 
     while True:
         active_index = None
@@ -198,18 +201,14 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
         full = frozenset(v for v in graph.vertices if active[v] == capacities[v])
         partial = frozenset(graph.vertices) - zero - full
 
-        # These flows check the cut condition on entry or after the last
-        # commit.  A commit lowers one alive indegree and demand together, so
-        # degrees stay fine; after the final commit no set is saturated.
-        flows = [k] * n
+        # A commit lowers one alive indegree and demand together, so degrees
+        # stay fine, and the flows it broke must still reach k.
         for v in graph.vertices:
             if residuals[v] is None:
-                flows[v], residuals[v] = _augment(net, n, {v}, k)
+                flow, residuals[v] = _augment(net, n, {v}, k)
+                if flow < k:
+                    raise AssertionError("committing an arc must preserve the packing conditions")
         least = [_least_cut(res, n, (v,)) for v, res in enumerate(residuals)]
-        if any(flow < k for flow in flows):
-            if len(alive) == graph.arc_count:
-                raise InfeasiblePackingError(_cut_witness(list(zip(flows, least)), k))
-            raise AssertionError("committing an arc must preserve the packing conditions")
         # The least tight set meeting zero | partial and not inside zero (V is
         # one) is the least tight set holding one of its members, or else one
         # holding u in zero and w in full whose own stay inside zero and full.
@@ -292,11 +291,11 @@ def min_weight_disjoint_b_branchings(
     candidate in lexicographic arc order.
     """
     graph = instance.graph
-    _check_arcs(graph.arc_count)
-    wv = WeightVector.coerce(weights, graph.arc_count)
     feasibility = check_packing_conditions(instance)
     if not feasibility:
         raise InfeasiblePackingError(feasibility)
+    _check_arcs(graph.arc_count)
+    wv = WeightVector.coerce(weights, graph.arc_count)
 
     demands = instance.demands
     needed = {v: sum(d[v] for d in demands) for v in graph.vertices}
@@ -311,7 +310,7 @@ def min_weight_disjoint_b_branchings(
             profile[h] = profile.get(h, 0) + 1
         if any(profile.get(v, 0) != needed[v] for v in graph.vertices):
             continue
-        if not _packing_conditions(graph, instance.capacities, frozenset(combo), demands):
+        if not _packing_conditions(graph, instance.capacities, frozenset(combo), demands)[0]:
             continue
         weight = sum(wv.numerators[a] for a in combo)
         if best is None or weight < best[0]:

@@ -74,6 +74,20 @@ def random_packing_instance(
     return PackingInstance(graph, capacities, tuple(demands))
 
 
+def count_flows(monkeypatch, *modules) -> list:
+    """A list of the sink set of every max flow run from now on through the
+    `_augment` binding of any of `modules`, in call order."""
+    sinks_seen = []
+    for module in modules:
+
+        def counted(net, source, sinks, limit, augment=module._augment):
+            sinks_seen.append(frozenset(sinks))
+            return augment(net, source, sinks, limit)
+
+        monkeypatch.setattr(module, "_augment", counted)
+    return sinks_seen
+
+
 def planted_parts(rng: random.Random, n: int, k: int) -> tuple[CapacityVector, list, list]:
     """Unit capacities with n // 4 vertices of capacity 2, and k feasible
     parts, each acyclic along its own random vertex order: every vertex but

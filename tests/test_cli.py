@@ -1,13 +1,28 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from bbranching import covering
+from bbranching import (
+    CapacityVector,
+    DemandVector,
+    Digraph,
+    PackingInstance,
+    check_packing_conditions,
+    cover_by_b_branchings,
+    covering,
+    digraph,
+    find_disjoint_b_branchings,
+    matroids,
+    packing,
+)
 from bbranching.cli import InstanceDocument, run
 from bbranching.greedy import WeightVector, parse_rational
+
+from helpers import count_flows, planted_packing_instance, planted_parts
 
 TWO_CYCLE = {"n": 2, "arcs": [[0, 1], [1, 0]], "b": [1, 1], "w": [3, 2]}
 
@@ -153,6 +168,48 @@ def test_cover(tmp_path, capsys):
     code, out, _ = invoke(["cover", "--input", write(tmp_path, doc, "c1.json")], capsys)
     assert code == 2
     assert json.loads(out)["violated"] == {"X": [0, 1]}
+
+
+def test_pack_min_weight_reports_infeasibility_past_the_arc_gate(tmp_path, capsys):
+    # 23 arcs exceed the exhaustive search's gate of 22, but the builder
+    # decides feasibility first, so the infeasible document still exits 2.
+    doc = {"n": 3, "arcs": [[0, 1]] * 23, "b": [1, 1, 1], "k": 1, "b_i": [[0, 1, 1]]}
+    doc["w"] = [1] * 23
+    graph = Digraph.from_pairs(3, [(0, 1)] * 23)
+    instance = PackingInstance(graph, CapacityVector([1, 1, 1]), (DemandVector([0, 1, 1]),))
+    witness = check_packing_conditions(instance).witness()
+    code, out, _ = invoke(["pack-min-weight", "--input", write(tmp_path, doc)], capsys)
+    assert (code, json.loads(out)) == (2, {"feasible": False, "violated": witness})
+    assert witness == {"v": 2}
+
+
+def test_pack_and_cover_run_the_builders_flows_only(tmp_path, capsys, monkeypatch):
+    # The builders decide feasibility themselves, so the CLI adds no flow of
+    # its own to theirs.
+    rng = random.Random(0xF1)
+    instance = planted_packing_instance(rng, 10, 2)
+    graph, b = instance.graph, instance.capacities
+    pack = {
+        "n": graph.vertex_count,
+        "arcs": [[t, h] for _, t, h in graph.arcs()],
+        "b": list(b),
+        "k": instance.k,
+        "b_i": [list(d) for d in instance.demands],
+    }
+    cover_b, pairs, _ = planted_parts(rng, 8, 3)
+    cover = {"n": 8, "arcs": [list(pair) for pair in pairs], "b": list(cover_b), "k": 3}
+
+    flows = count_flows(monkeypatch, digraph, packing, matroids)
+    find_disjoint_b_branchings(instance)
+    pack_flows = len(flows)
+    flows.clear()
+    cover_by_b_branchings(Digraph.from_pairs(8, pairs), cover_b, 3)
+    cover_flows = len(flows)
+    for command, doc, expected in (("pack", pack, pack_flows), ("cover", cover, cover_flows)):
+        flows.clear()
+        code, _, _ = invoke([command, "--input", write(tmp_path, doc), "--quiet"], capsys)
+        assert (code, len(flows)) == (0, expected), command
+    assert pack_flows >= 10 and cover_flows >= 8
 
 
 def test_decompose_zero_vector(tmp_path, capsys):

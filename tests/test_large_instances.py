@@ -24,7 +24,7 @@ from bbranching import (
     integer_decompose,
     strong_components,
 )
-from bbranching.digraph import _max_flow
+from bbranching.digraph import _augment, _least_cut
 from bbranching.packing import _packing_network
 
 
@@ -238,7 +238,8 @@ def test_flows_match_networkx():
         net = _packing_network(graph, b, graph.arc_ids, instance.demands)
         sample = rng.sample(range(25), 4)
         for v in graph.vertices:
-            flow, cut = _max_flow(net, graph.vertex_count, {v}, _infinite(arcs))
+            flow, res = _augment(net, graph.vertex_count, {v}, _infinite(arcs))
+            cut = _least_cut(res, graph.vertex_count, (v,))
             assert flow == _networkx_lambda(nx, arcs, [v])
             if v in sample:
                 assert v in cut and _shortfall(instance, cut) + k == flow

@@ -17,10 +17,11 @@ from bbranching import (
     g_value,
     is_b_branching,
     min_weight_disjoint_b_branchings,
+    packing,
 )
 from bbranching.matroids import CapacityError, indegree_profile
 
-from helpers import planted_packing_instance, random_packing_instance
+from helpers import count_flows, planted_packing_instance, random_packing_instance
 
 
 def test_g_value_examples():
@@ -83,49 +84,62 @@ def test_find_disjoint_requires_feasible():
         find_disjoint_b_branchings(instance)
 
 
-def test_construction_raises_the_entry_check_witness(monkeypatch):
-    # The construction decides the cut condition from its first step's flows
-    # instead of calling the check, yet raises the check's witness.
-    from bbranching import packing
+def _entry_flows(n):
+    return [frozenset({v}) for v in range(n)]
 
+
+def test_construction_raises_the_entry_check_witness(monkeypatch):
+    # The construction's entry step is the check itself: its n flows decide
+    # the cut condition, raise the check's witness, and on a feasible
+    # instance are where the first step starts.
     rng = random.Random(0xE7)
     instances = [random_packing_instance(rng, 6, 10, 3, 3, loop_rate=0.1) for _ in range(300)]
     verdicts = [check_packing_conditions(instance) for instance in instances]
-    monkeypatch.setattr(packing, "_packing_conditions", None)
+    flows = count_flows(monkeypatch, packing)
     kinds = set()
     for instance, verdict in zip(instances, verdicts):
+        n = instance.graph.vertex_count
+        flows.clear()
         if verdict:
             find_disjoint_b_branchings(instance)
+            assert flows[:n] == _entry_flows(n)
             continue
         kinds.add("vertex" if verdict.vertex is not None else "subset")
         with pytest.raises(InfeasiblePackingError) as raised:
             find_disjoint_b_branchings(instance)
         assert str(raised.value) == f"instance is infeasible: {verdict}"
         assert raised.value.feasibility == verdict
+        assert flows == ([] if verdict.vertex is not None else _entry_flows(n))
     assert kinds == {"vertex", "subset"}
 
 
 def test_exists_returns_the_check_verdict_from_one_construction(monkeypatch):
-    # The single-part question is decided by the construction's entry checks
-    # alone, so the packing flows run once, and the verdict and witness are
-    # the ones check_packing_conditions reports.
-    from bbranching import packing
-
+    # The single-part question is decided by the construction's entry step
+    # alone, so the packing flows run once: as many as the construction
+    # makes, n on a cut failure.  The verdict and witness are the ones
+    # check_packing_conditions reports.
     rng = random.Random(0xE8)
     instances = [random_packing_instance(rng, 6, 10, 3, 1, loop_rate=0.1) for _ in range(300)]
+    flows = count_flows(monkeypatch, packing)
     expected = []
     for instance in instances:
         verdict = check_packing_conditions(instance)
+        flows.clear()
         part = find_disjoint_b_branchings(instance).branchings[0] if verdict else None
-        expected.append((verdict, part))
-    monkeypatch.setattr(packing, "_packing_conditions", None)
+        expected.append((verdict, part, list(flows)))
     monkeypatch.setattr(packing, "check_packing_conditions", None)
     kinds = set()
-    for instance, (verdict, part) in zip(instances, expected):
+    for instance, (verdict, part, construction_flows) in zip(instances, expected):
+        n = instance.graph.vertex_count
+        flows.clear()
         got = exists_b_branching_with_indegree(
             instance.graph, instance.capacities, instance.demands[0]
         )
         assert got == (verdict, part)
+        if verdict:
+            assert flows == construction_flows and flows[:n] == _entry_flows(n)
+        else:
+            assert flows == ([] if verdict.vertex is not None else _entry_flows(n))
         kinds.add("ok" if verdict else "vertex" if verdict.vertex is not None else "subset")
     assert kinds == {"ok", "vertex", "subset"}
 
@@ -134,16 +148,7 @@ def test_construction_keeps_its_flows_across_commits(monkeypatch):
     # The first step runs one fresh flow per vertex; later steps rerun only
     # the flows a commit broke, and pair cuts are read off kept residuals,
     # so no flow ever goes into two vertices.
-    from bbranching import packing
-
-    sinks_seen = []
-    augment = packing._augment
-
-    def counted(net, source, sinks, limit):
-        sinks_seen.append(frozenset(sinks))
-        return augment(net, source, sinks, limit)
-
-    monkeypatch.setattr(packing, "_augment", counted)
+    sinks_seen = count_flows(monkeypatch, packing)
     n = 30
     instance = planted_packing_instance(random.Random(0x30), n, 2)
     steps = sum(map(sum, instance.demands))

@@ -101,17 +101,34 @@ def test_only_the_oracle_scans_vertex_sets():
 
 def test_max_flow_is_written_once():
     # The flow helpers (`_augment` pushes, `_least_cut` reads the residual,
-    # `_max_flow` composes them, `_add_arc` builds) are defined in
-    # digraph.py only, and only the slack network (matroids.py) and the
-    # packing network (packing.py) use them.
-    flow = {"_max_flow", "_add_arc", "_augment", "_least_cut"}
+    # `_add_arc` builds) are defined in digraph.py only, and only the slack
+    # network (matroids.py) and the packing network (packing.py) use them.
+    # `_max_flow`, which composed the first two, may not return.
+    flow = {"_add_arc", "_augment", "_least_cut"}
     builders = {"digraph.py", "matroids.py", "packing.py"}
-    defined, named = [], []
+    defined, named, gone = [], [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, ast.FunctionDef) and node.name in flow:
                 defined.append(path.name)
             elif _names(node) & flow and path.name not in builders:
                 named.append(f"{path.name}:{node.lineno}")
+            if "_max_flow" in _names(node):
+                gone.append(f"{path.name}:{node.lineno}")
     assert sorted(defined) == ["digraph.py"] * len(flow), defined
     assert not named, f"max flow used outside the two networks: {named}"
+    assert SOURCES and not gone, f"_max_flow is back: {gone}"
+
+
+def test_packing_network_is_built_in_one_place():
+    # The packing check is the construction's entry step, so one library
+    # function builds the packing network.
+    callers = [
+        f"{path.name}:{function.name}"
+        for path in SOURCES
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and "_packing_network" in _names(node.func)
+    ]
+    assert callers == ["packing.py:_packing_conditions"], callers
