@@ -8,13 +8,12 @@ k units of flow must reach every vertex from a source feeding each v with
 k b(v) - indeg(v), the slack network that decides sparsity at k = 1.
 Integer points of k times the feasible polytope
 decompose by covering the multigraph that carries each arc with its
-multiplicity.
+multiplicity, then exchanging copies until no part holds two of one arc.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .digraph import Digraph
@@ -96,105 +95,54 @@ def _multiplicity_graph(graph: Digraph, multiplicity: Sequence[int]) -> tuple[Di
     return Digraph.from_pairs(graph.vertex_count, [(tails[a], heads[a]) for a in origin]), origin
 
 
-def _try_repair_duplicates(
-    graph: Digraph,
+def _exchange_copies(
+    copies: Digraph,
     capacities: CapacityVector,
-    counts: list[Counter],
-) -> Optional[list[frozenset]]:
-    """Shift duplicate copies between parts until every part is a plain set.
-
-    A surplus copy moves to a part lacking that arc when the enlarged part
-    stays feasible, otherwise a one-for-one exchange is attempted.  Every
-    successful step strictly reduces the total surplus.
-    """
-    k = len(counts)
-    while True:
-        surplus = [
-            (i, a)
-            for i in range(k)
-            for a in sorted(counts[i])
-            if counts[i][a] >= 2
-        ]
-        if not surplus:
-            # Decremented entries linger in a Counter with count zero.
-            return [frozenset(e for e, c in counter.items() if c >= 1) for counter in counts]
-        i, a = surplus[0]
-        part_i = {e for e, c in counts[i].items() if c >= 1}
-        receivers = [j for j in range(k) if j != i and counts[j][a] == 0]
-        moved = False
-        for j in receivers:
-            part_j = {e for e, c in counts[j].items() if c >= 1}
-            if is_b_branching(graph, capacities, part_j | {a}):
-                counts[i][a] -= 1
-                counts[j][a] += 1
-                moved = True
-                break
-        if moved:
-            continue
-        for j in receivers:
-            part_j = {e for e, c in counts[j].items() if c >= 1}
-            swapped = False
-            for e in sorted(part_j - part_i):
-                if counts[j][e] != 1:
-                    continue
-                if is_b_branching(graph, capacities, (part_j - {e}) | {a}) and is_b_branching(
-                    graph, capacities, part_i | {e}
-                ):
-                    counts[i][a] -= 1
-                    counts[i][e] += 1
-                    counts[j][e] -= 1
-                    counts[j][a] += 1
-                    swapped = True
-                    break
-            if swapped:
-                moved = True
-                break
-        if not moved:
-            return None
-
-
-def _peel_decomposition(
-    graph: Digraph,
-    capacities: CapacityVector,
-    k: int,
-    multiplicity: Sequence[int],
+    origin: Sequence[int],
+    parts: list[frozenset],
 ) -> list[frozenset]:
-    """Fallback: peel one feasible part at a time, re-checking that the
-    remainder stays inside the shrunken polytope."""
-    remaining = list(multiplicity)
-    parts: list[frozenset] = []
-    for level in range(k, 0, -1):
-        if level == 1:
-            last = frozenset(a for a in graph.arc_ids if remaining[a] > 0)
-            if any(c > 1 for c in remaining):
-                raise AssertionError("remainder must be a 0/1 vector")
-            if not is_b_branching(graph, capacities, last):
-                raise AssertionError("final remainder must be feasible")
-            parts.append(last)
-            break
-        forced = [a for a in graph.arc_ids if remaining[a] == level]
-        free = [a for a in graph.arc_ids if 0 < remaining[a] < level]
-        found = None
-        for size in range(len(free) + 1):
-            for combo in combinations(free, size):
-                candidate = frozenset(forced) | frozenset(combo)
-                if not is_b_branching(graph, capacities, candidate):
-                    continue
-                rest = [
-                    remaining[a] - (1 if a in candidate else 0) for a in graph.arc_ids
-                ]
-                rest_graph, _ = _multiplicity_graph(graph, rest)
-                if check_cover_conditions(rest_graph, capacities, level - 1):
-                    found = candidate
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise AssertionError("decomposition must exist for a point of the scaled polytope")
-        parts.append(found)
-        for a in found:
-            remaining[a] -= 1
-    return parts
+    """Turn a cover of the multiplicity multigraph into parts that hold at
+    most one copy of each arc, as arc-id sets of the original graph.
+
+    While some part i holds two copies of an arc (u, v), its smallest such
+    copy c moves to the first part j holding no copy of that arc, or else
+    swaps with the smallest copy e entering v that keeps part j feasible
+    and does not add a duplicate to i without removing one from j.  Each
+    step lowers the number of surplus copies; README.md gives the argument
+    that one always exists.
+    """
+    parts = [set(part) for part in parts]
+    heads = copies.heads
+    while True:
+        held = [Counter(origin[c] for c in part) for part in parts]
+        i = next((i for i, count in enumerate(held) if max(count.values(), default=0) > 1), None)
+        if i is None:
+            return [frozenset(count) for count in held]
+        c = min(c for c in parts[i] if held[i][origin[c]] > 1)
+        a = origin[c]
+        # x(a) <= k copies, and fewer than k parts were packed only when
+        # there is one part per copy, so some part holds no copy of a.
+        j = next(j for j, count in enumerate(held) if not count[a])
+        if is_b_branching(copies, capacities, parts[j] | {c}):
+            parts[i].remove(c)
+            parts[j].add(c)
+            continue
+        e = next(
+            (
+                e
+                for e in sorted(parts[j])
+                if heads[e] == heads[c]
+                and not (held[i][origin[e]] and held[j][origin[e]] == 1)
+                and is_b_branching(copies, capacities, (parts[j] - {e}) | {c})
+            ),
+            None,
+        )
+        if e is None:
+            raise AssertionError("some copy entering the head must make room")
+        if not is_b_branching(copies, capacities, (parts[i] - {c}) | {e}):
+            raise AssertionError("the other copy must keep the part feasible")
+        parts[i] ^= {c, e}
+        parts[j] ^= {c, e}
 
 
 def integer_decompose(
@@ -222,19 +170,9 @@ def integer_decompose(
     if not feasibility:
         raise DecompositionError("vector lies outside k times the polytope", feasibility.witness())
 
-    copy_parts = _augmented_cover_parts(expanded, capacities, k)
-    counts = [Counter(origin[c] for c in part) for part in copy_parts]
-    if all(count <= 1 for counter in counts for count in counter.values()):
-        parts = [frozenset(counter) for counter in counts]
-    else:
-        # No padding needed: below k copies one part per copy was packed,
-        # so at least as many are empty as there are surplus copies.
-        repaired = _try_repair_duplicates(graph, capacities, counts)
-        parts = (
-            repaired
-            if repaired is not None
-            else _peel_decomposition(graph, capacities, k, values)
-        )
+    parts = _exchange_copies(
+        expanded, capacities, origin, _augmented_cover_parts(expanded, capacities, k)
+    )
 
     total = Counter()
     for part in parts:

@@ -15,9 +15,10 @@ from bbranching import (
     find_disjoint_b_branchings,
     integer_decompose,
     is_b_branching,
+    max_weight_b_branching,
 )
 
-from helpers import random_capacities, random_digraph
+from helpers import random_capacities, random_digraph, reference_saturated_components
 
 
 def test_cover_conditions_examples():
@@ -209,51 +210,116 @@ def test_decompose_checks_do_not_grow_with_k(monkeypatch, vector, most):
     assert parts == [frozenset({0})] * vector[0] + [frozenset()] * (k - vector[0])
 
 
-def test_peel_fallback_decomposes():
-    from bbranching.covering import _peel_decomposition
-
-    g = Digraph.from_pairs(
-        4, [(3, 1), (3, 3), (1, 1), (2, 2), (3, 2), (2, 0), (2, 3), (3, 3), (3, 2)]
+def _assert_decomposes(g, b, k, vector, parts):
+    """k parts summing to the vector, each a b-branching: indegree at most
+    b, and then no strong component X inducing b(X) of its arcs (the sets
+    that can break sparsity), by the reference components of helpers.py."""
+    assert len(parts) == k
+    assert Counter(a for part in parts for a in part) == Counter(
+        {a: c for a, c in enumerate(vector) if c}
     )
-    b = CapacityVector([2, 2, 2, 1])
-    vector = [1, 0, 1, 1, 0, 1, 1, 0, 2]
-    parts = _peel_decomposition(g, b, 2, vector)
-    total = Counter()
     for part in parts:
-        assert is_b_branching(g, b, part)
-        total.update(part)
-    assert all(total[a] == vector[a] for a in g.arc_ids)
+        indegree = Counter(g.heads[a] for a in part)
+        assert all(indegree[v] <= b[v] for v in indegree)
+        assert not reference_saturated_components(g, b, frozenset(part))
 
 
-def test_decompose_falls_back_to_peeling(monkeypatch):
-    # Found by a seeded random search: the repair pass gives up on this
-    # instance, so `integer_decompose` must reach the peeling fallback.
+def test_decompose_exchanges_copies_once(monkeypatch):
+    # Judged as sets of original arcs, this cover's parts hide their second
+    # copies; the exchange judges them on the multigraph and clears them.
     import bbranching.covering as covering
 
-    calls = Counter()
+    calls = []
+    exchange = covering._exchange_copies
 
-    def counted(name):
-        original = getattr(covering, name)
+    def counted(*args):
+        calls.append(args)
+        return exchange(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(covering, name, wrapper)
-
-    counted("_try_repair_duplicates")
-    counted("_peel_decomposition")
+    monkeypatch.setattr(covering, "_exchange_copies", counted)
     g = Digraph.from_pairs(2, [(0, 1), (1, 1), (1, 0), (1, 0), (1, 0), (1, 0), (1, 1)])
     b = CapacityVector([2, 3])
     vector = [3, 1, 1, 3, 1, 0, 3]
     parts = integer_decompose(g, b, 3, vector)
-    assert calls == {"_try_repair_duplicates": 1, "_peel_decomposition": 1}
-    assert len(parts) == 3
-    total = Counter()
-    for part in parts:
-        assert is_b_branching(g, b, part)
-        total.update(part)
-    assert all(total[a] == vector[a] for a in g.arc_ids)
+    assert len(calls) == 1
+    _assert_decomposes(g, b, 3, vector, parts)
+
+
+def test_decompose_pinned_draw_within_call_bound(monkeypatch):
+    # The sum of four max-weight b-branchings drawn as in
+    # test_decompose_sums_of_optima (random.Random(2), 12 to 20 vertices,
+    # 2n to 4n arcs, draw 86).  Searching for a part by arc subsets did not
+    # return on it within 600 s; the exchange makes 27 checks.
+    import bbranching.covering as covering
+
+    calls = []
+
+    def bounded(*args):
+        calls.append(args)
+        if len(calls) > 200:
+            raise RuntimeError("more than 200 feasibility checks")
+        return is_b_branching(*args)
+
+    monkeypatch.setattr(covering, "is_b_branching", bounded)
+    pairs = [
+        (0, 12), (11, 11), (13, 16), (3, 0), (16, 8), (18, 8), (15, 1), (3, 16), (1, 12),
+        (19, 4), (3, 17), (8, 10), (0, 7), (19, 6), (1, 6), (3, 2), (2, 13), (1, 6),
+        (7, 0), (18, 18), (6, 16), (7, 0), (9, 5), (17, 16), (18, 14), (12, 7), (12, 3),
+        (3, 8), (14, 10), (3, 10), (11, 7), (16, 6), (7, 17), (10, 5), (7, 17), (10, 13),
+        (3, 8), (10, 3), (2, 17), (13, 4), (15, 10), (15, 17), (7, 11), (7, 19), (19, 11),
+        (8, 18), (12, 1), (18, 2), (6, 17), (14, 2), (5, 15), (10, 16), (0, 15), (17, 12),
+        (0, 13), (14, 15), (4, 7), (18, 8), (13, 3), (4, 6), (11, 12), (17, 12),
+    ]
+    b = CapacityVector([2, 2, 3, 1, 2, 3, 3, 1, 3, 3, 2, 2, 2, 1, 3, 2, 3, 1, 2, 2])
+    vector = [
+        3, 4, 2, 3, 2, 4, 4, 3, 1, 4, 2, 2, 0, 3, 1, 3, 0, 3, 3, 3, 1, 1, 4, 3, 2, 2, 1, 3, 2,
+        1, 2, 2, 1, 2, 0, 3, 1, 2, 1, 3, 3, 0, 0, 2, 4, 4, 1, 2, 0, 3, 3, 3, 0, 2, 1, 3, 0, 1,
+        0, 2, 0, 2,
+    ]
+    g = Digraph.from_pairs(20, pairs)
+    assert (g.arc_count, sum(vector)) == (62, 123)
+    _assert_decomposes(g, b, 4, vector, integer_decompose(g, b, 4, vector))
+
+
+def test_decompose_sums_of_optima(monkeypatch):
+    # Sums of k max-weight b-branchings often make the multigraph cover put
+    # two copies of one arc in a part, so the exchange has work to do.  It
+    # takes at most sum(x) steps of at most max(b) + 2 checks each, and the
+    # k parts plus the padding are checked once more; past that bound an
+    # exchange that makes no progress fails instead of hanging.
+    import bbranching.covering as covering
+
+    duplicated, checks = [], []
+    exchange = covering._exchange_copies
+
+    def watched(copies, capacities, origin, parts):
+        duplicated.append(any(len({origin[c] for c in part}) < len(part) for part in parts))
+        return exchange(copies, capacities, origin, parts)
+
+    def bounded(*args):
+        checks.append(args)
+        if len(checks) > bound:
+            raise RuntimeError(f"more than {bound} feasibility checks")
+        return is_b_branching(*args)
+
+    monkeypatch.setattr(covering, "_exchange_copies", watched)
+    monkeypatch.setattr(covering, "is_b_branching", bounded)
+    rng = random.Random(1)
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        m = rng.randint(n, 3 * n)
+        g = Digraph.from_pairs(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+        b = CapacityVector([rng.randint(1, 3) for _ in range(n)])
+        k = rng.randint(2, 4)
+        vector = [0] * m
+        for _ in range(k):
+            weights = [rng.randint(-3, 10) for _ in range(m)]
+            for a in max_weight_b_branching(g, b, weights)[0].arcs:
+                vector[a] += 1
+        checks.clear()
+        bound = sum(vector) * (max(b) + 2) + k + 1
+        _assert_decomposes(g, b, k, vector, integer_decompose(g, b, k, vector))
+    assert len(duplicated) == 300 and sum(duplicated) >= 50
 
 
 def test_decompose_round_trip_random_sums():

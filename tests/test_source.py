@@ -132,3 +132,30 @@ def test_packing_network_is_built_in_one_place():
         if isinstance(node, ast.Call) and "_packing_network" in _names(node.func)
     ]
     assert callers == ["packing.py:_packing_conditions"], callers
+
+
+def test_only_the_oracle_enumerates_arc_or_vertex_sets():
+    # Enumerating combinations, products or permutations is exponential, so
+    # it serves the oracle only.  `min_weight_disjoint_b_branchings` still
+    # tries every arc subset until a polynomial method replaces it (ROADMAP
+    # item 9).  The decomposition's peel, a search over arc subsets, may
+    # not return anywhere.
+    scans, gone = {"combinations", "product", "permutations"}, "_peel_decomposition"
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = [tree] if path.name == "oracle.py" else []
+        if path.name == "packing.py":
+            exempt = [
+                top
+                for top in tree.body
+                if isinstance(top, ast.ImportFrom) and top.module == "itertools"
+                or isinstance(top, ast.FunctionDef) and top.name == "min_weight_disjoint_b_branchings"
+            ]
+        allowed = {id(node) for top in exempt for node in ast.walk(top)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _names(node) & scans and id(node) not in allowed or gone in _names(node)
+        ]
+    assert SOURCES and not found, f"exhaustive enumeration outside oracle.py: {found}"
