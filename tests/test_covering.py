@@ -224,6 +224,17 @@ def _assert_decomposes(g, b, k, vector, parts):
         assert not reference_saturated_components(g, b, frozenset(part))
 
 
+def test_peel_fallback_decomposes():
+    # The instance that once needed exhaustive peeling: the copy exchange
+    # alone must split it, judged against the definitions, not the oracle.
+    g = Digraph.from_pairs(
+        4, [(3, 1), (3, 3), (1, 1), (2, 2), (3, 2), (2, 0), (2, 3), (3, 3), (3, 2)]
+    )
+    b = CapacityVector([2, 2, 2, 1])
+    vector = [1, 0, 1, 1, 0, 1, 1, 0, 2]
+    _assert_decomposes(g, b, 2, vector, integer_decompose(g, b, 2, vector))
+
+
 def test_decompose_exchanges_copies_once(monkeypatch):
     # Judged as sets of original arcs, this cover's parts hide their second
     # copies; the exchange judges them on the multigraph and clears them.
