@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Union
 
 from .digraph import Digraph
 from .matroids import BBranching, CapacityVector, _in_counts, _within, saturated_components
@@ -206,8 +205,10 @@ def max_weight_b_branching(
     behind its new vertices, at most O(|V| + |A|).  The engine records each
     contracted set's potential, so the dual replay costs O(C^2/w) word
     operations for the path bits of C contractions, one AND of C-bit
-    integers per arc, the total set size to expand the sets, and one
-    selection per vertex, a sort of its entering arcs' charged weights.
+    integers per arc, the total set size to expand the sets, O(C log C) to
+    order them, and one selection per vertex, a sort of its entering arcs'
+    charged weights.  Pass a WeightVector to parse the weights once when
+    they go to `verify_certificate` as well.
     """
     capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
@@ -232,10 +233,13 @@ def dual_from_run(
     the forest gives each contraction one bit and each vertex the bits of
     its path: O(C^2/w) word operations for C contractions.  An arc's charge
     is then read at the lowest common bit of its ends, one AND of C-bit
-    integers, and expanding the sets costs their total size.  A vertex
-    potential is one selection per vertex: the b(v)-th largest of
-    weight less charge over the kept arcs entering it, or 0 when that is
-    negative or there are fewer.  Arc slacks absorb the rest.
+    integers, and expanding the sets costs their total size.  Each set's
+    least member and capacity total are carried up the forest from the
+    merged vertices, so the objective reads b(X) per set and the sets are
+    sorted by (min, size) in O(C log C).  A vertex potential is one
+    selection per vertex: the b(v)-th largest of weight less charge over
+    the kept arcs entering it, or 0 when that is negative or there are
+    fewer.  Arc slacks absorb the rest.
     """
     capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
@@ -243,19 +247,25 @@ def dual_from_run(
     steps = [step for phase in history for step in phase]
     link = {m: step.new_vertex for step in steps for m in step.merged}
 
-    # Each contracted set, expanded back to original vertices once.
-    expansion: dict[int, list[int]] = {}
-    sets: list[tuple[frozenset, int]] = []
+    # Each contracted set, expanded back to original vertices once, with its
+    # least member and capacity total carried up from the merged vertices.
+    expansion: dict[int, tuple[list[int], int, int]] = {}
+    sets: list[tuple[int, int, frozenset, int, int]] = []
     for step in steps:
         inside: list[int] = []
+        low, total = graph.vertex_count, 0
         for m in step.merged:
             if m in expansion:
-                inside.extend(expansion.pop(m))
+                members, least, sub = expansion.pop(m)
+                inside += members
             else:
+                least, sub = m, capacities[m]
                 inside.append(m)
+            low = min(low, least)
+            total += sub
         if step.potential:
-            sets.append((frozenset(inside), step.potential))
-        expansion[step.new_vertex] = inside
+            sets.append((low, len(inside), frozenset(inside), total, step.potential))
+        expansion[step.new_vertex] = (inside, low, total)
 
     # Contraction i owns bit i.  A parent comes after its children in the
     # history, so the reverse walk meets it first: above[z] holds the summed
@@ -284,23 +294,74 @@ def dual_from_run(
             if net[a] > p:
                 q_num[a] = net[a] - p
 
+    # In a laminar family two sets with the same least member and size are
+    # the same set, so (min, len) orders the sets as (min, len, members) did.
+    sets.sort(key=lambda item: item[:2])
     objective_num = (
         sum(cap * p_vertex_num[v] for v, cap in enumerate(capacities))
-        + sum((capacities.total(members) - 1) * pot for members, pot in sets)
+        + sum((total - 1) * pot for _, _, _, total, pot in sets)
         + sum(q_num.values())
     )
-    p_sets = tuple(
-        (members, Fraction(pot, den))
-        for members, pot in sorted(
-            sets, key=lambda item: (min(item[0]), len(item[0]), sorted(item[0]))
-        )
-    )
+    p_sets = tuple((members, Fraction(pot, den)) for _, _, members, _, pot in sets)
     return DualCertificate(
         p_vertex={v: Fraction(p_vertex_num[v], den) for v in graph.vertices},
         p_sets=p_sets,
         q={a: Fraction(n, den) for a, n in sorted(q_num.items())},
         objective=Fraction(objective_num, den),
     )
+
+
+def _set_masks(sets: Sequence[AbstractSet[int]], n: int) -> list[int]:
+    """Per vertex below n, the bits of the sets holding it; set i owns bit i
+    and the sets come largest first.
+
+    Read as a laminar family, a set's parent is the innermost set so far
+    holding one of its members, and a vertex's mask is the chain of parents
+    above its innermost set: one store per member and one subset test per
+    set.  When every set lies inside its parent, a mask carrying bit i
+    belongs to a member of set i, so the masks are exact once they carry as
+    many bits in all as the sets have members.  A crossing family fails one
+    of the two tests, and each member ORs its bit in instead."""
+    chain, inner = [0], [0] * n  # inner[v] - 1 is v's innermost set so far
+    for i, members in enumerate(sets, 1):
+        parent = inner[next(iter(members))]
+        if parent and not members.issubset(sets[parent - 1]):
+            break
+        chain.append(chain[parent] | 1 << i - 1)
+        for v in members:
+            inner[v] = i
+    else:
+        masks = [chain[i] for i in inner]
+        if sum(map(int.bit_count, masks)) == sum(map(len, sets)):
+            return masks
+    masks = [0] * n
+    for i, members in enumerate(sets):
+        bit = 1 << i
+        for v in members:
+            masks[v] |= bit
+    return masks
+
+
+def _per_bit(totals: Mapping[int, int], width: int) -> list[int]:
+    """Per bit i below `width`, the sum of totals[m] over the masks m holding
+    bit i.  Each mask's total goes to its highest bit and passes on to the
+    mask without it, one popcount lower, so the masks are taken level by
+    level in descending popcount.  For the parent chains of a laminar family
+    whose sets own bits largest first, the highest bit is the innermost set
+    and the rest is its parent's chain, so each distinct mask costs O(1)
+    big-integer operations."""
+    levels: list[dict[int, int]] = [{} for _ in range(1 + max(map(int.bit_count, totals), default=0))]
+    for m, total in totals.items():
+        levels[m.bit_count()][m] = total
+    sums = [0] * width
+    for size in range(len(levels) - 1, 0, -1):
+        below = levels[size - 1]
+        for m, total in levels[size].items():
+            top = m.bit_length() - 1
+            sums[top] += total
+            rest = m ^ 1 << top
+            below[rest] = below.get(rest, 0) + total
+    return sums
 
 
 def verify_certificate(
@@ -311,7 +372,14 @@ def verify_certificate(
     certificate: DualCertificate,
 ) -> CertificateCheck:
     """Exact check of feasibility, dual feasibility, complementary slackness
-    and the zero duality gap for a (solution, certificate) pair."""
+    and the zero duality gap for a (solution, certificate) pair.
+
+    The dual check costs one pass over the arcs plus the total size of the
+    set family.  On a laminar family of C positive sets each distinct
+    vertex or arc mask then costs O(1) operations on C-bit integers,
+    amortised, with no pass over the C sets per mask; a crossing family
+    costs at most one such operation per set holding each vertex or arc.
+    """
     capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
     subset = frozenset(arcs)
@@ -329,8 +397,9 @@ def verify_certificate(
         return CertificateCheck(False, "vertex-potential-domain")
     if any(p < 0 for p in p_vertex.values()):
         return CertificateCheck(False, "vertex-potential-negative")
+    vertex_ids = frozenset(graph.vertices)
     for members, potential in certificate.p_sets:
-        if not members or not members.issubset(graph.vertices):
+        if not members or not members.issubset(vertex_ids):
             return CertificateCheck(False, "set-potential-domain")
         if potential < 0:
             return CertificateCheck(False, "set-potential-negative")
@@ -350,61 +419,74 @@ def verify_certificate(
             return value * den
         return value.numerator * (den // value.denominator)
 
-    # One bit per positive set potential; mask[v] holds the bits of the sets
-    # containing v, so the sets enclosing arc (t, h) are mask[t] & mask[h].
-    # The enclosed sum is memoised per mask value: a laminar family has at
-    # most |p_sets| + 1 of them, and any other family goes the same way.
+    # One bit per positive set potential, the largest set first, so a set's
+    # bit lies above those of the sets enclosing it; mask[v] holds the bits
+    # of the sets containing v, and the sets enclosing arc (t, h) are
+    # mask[t] & mask[h].  The enclosed sum peels the highest bit,
+    # inside(m) = pot[top(m)] + inside(m without top(m)), memoised per mask:
+    # in a laminar family the sets enclosing an arc are a chain, and peeling
+    # its innermost set leaves the chain above, so each distinct mask costs
+    # O(1) big-integer operations amortised.  Any other family costs at
+    # most one memo entry per bit of each distinct mask.
     positive_sets = [(members, pot) for members, pot in certificate.p_sets if pot > 0]
+    positive_sets.sort(key=lambda item: -len(item[0]))
     bit_potentials = [scaled(pot) for _, pot in positive_sets]
-    mask = [0] * graph.vertex_count
-    for i, (members, _) in enumerate(positive_sets):
-        bit = 1 << i
-        for v in members:
-            mask[v] |= bit
-
-    def bits(m: int):
-        """The bit indices of m in ascending order, as '0'/'1' characters."""
-        return bin(m)[:1:-1]
-
+    mask = _set_masks([members for members, _ in positive_sets], graph.vertex_count)
     enclosed_sum = {0: 0}
+
+    def enclosed(m: int) -> int:
+        peeled = []
+        while m not in enclosed_sum:
+            peeled.append(m)
+            m ^= 1 << m.bit_length() - 1
+        total = enclosed_sum[m]
+        for m in reversed(peeled):
+            total += bit_potentials[m.bit_length() - 1]
+            enclosed_sum[m] = total
+        return total
+
     p_scaled = {v: scaled(p) for v, p in p_vertex.items()}
     q_scaled = {a: scaled(value) for a, value in certificate.q.items()}
     nums = wv.numerators
+    # slack[m]: the solution arcs whose ends share exactly the sets of m,
+    # less the capacity of the vertices whose mask is m (added below).
+    enclosed_in_solution, slack = 0, {}
     for a, tail, head in graph.arcs():
         m = mask[tail] & mask[head]
         inside = enclosed_sum.get(m)
         if inside is None:
-            inside = enclosed_sum[m] = sum(
-                pot for pot, bit in zip(bit_potentials, bits(m)) if bit == "1"
-            )
+            inside = enclosed(m)
         q = q_scaled.get(a, 0)
         lhs = p_scaled[head] + q + inside
         w = nums[a]
         if lhs < w:
             return CertificateCheck(False, f"dual-constraint-violated:arc={a}")
-        if a in subset and lhs != w:
-            return CertificateCheck(False, f"selected-arc-slack:arc={a}")
-        if q > 0 and a not in subset:
+        if a in subset:
+            if lhs != w:
+                return CertificateCheck(False, f"selected-arc-slack:arc={a}")
+            enclosed_in_solution += inside
+            slack[m] = slack.get(m, 0) + 1
+        elif q > 0:
             return CertificateCheck(False, f"q-support-outside-solution:arc={a}")
 
     for v in graph.vertices:
         if p_scaled[v] > 0 and profile[v] != capacities[v]:
             return CertificateCheck(False, f"vertex-potential-unsaturated:v={v}")
-    inside_counts = [0] * len(positive_sets)
-    tails, heads = graph.tails, graph.heads
-    for m, count in Counter(mask[tails[a]] & mask[heads[a]] for a in subset).items():
-        for i, bit in enumerate(bits(m)):
-            if bit == "1":
-                inside_counts[i] += count
-    set_bounds = [capacities.total(members) - 1 for members, _ in positive_sets]
-    if inside_counts != set_bounds:
-        return CertificateCheck(False, "set-potential-not-tight")
+    # A set X is tight when |F[X]| = b(X) - 1, so per bit the slack of the
+    # masks holding it must come to -1.
+    if positive_sets:
+        for m, cap in zip(mask, capacities):
+            slack[m] = slack.get(m, 0) - cap
+        if any(total != -1 for total in _per_bit(slack, len(positive_sets))):
+            return CertificateCheck(False, "set-potential-not-tight")
 
-    # A set with potential 0 adds nothing to the objective.
+    # With every set tight, the sets' term sum((b(X) - 1) p(X)) is the
+    # potential enclosing each solution arc, summed over the solution; a
+    # set with potential 0 adds nothing.
     objective = scaled(certificate.objective)
     recomputed = (
         sum(capacities[v] * p_scaled[v] for v in graph.vertices)
-        + sum(bound * pot for bound, pot in zip(set_bounds, bit_potentials))
+        + enclosed_in_solution
         + sum(q_scaled.values())
     )
     if recomputed != objective:

@@ -134,19 +134,27 @@ def _packing_conditions(
     capacities: CapacityVector,
     alive: AbstractSet[int],
     demands: Sequence[Sequence[int]],
+    keep: bool = False,
 ) -> tuple[Feasibility, Optional[list], Optional[list]]:
     """Degree condition per vertex, then the cut condition: one flow of up to
     k units into each vertex, whose least cut is read only when it falls
-    short.  Returns the verdict, the packing network and per vertex the
-    residual of its flow; both are None when a degree condition fails."""
+    short.  Returns the verdict, the packing network and, with `keep`, per
+    vertex the residual of its flow; both are None when a degree condition
+    fails.  Without `keep` each residual is dropped once its flow is read,
+    so a check holds one residual at a time."""
     for v, entering in enumerate(graph.entering):
         if sum(1 for a in entering if a in alive) < sum(d[v] for d in demands):
             return Feasibility(False, vertex=v), None, None
     n, k = graph.vertex_count, len(demands)
     net = _packing_network(graph, capacities, alive, demands)
-    flows = [_augment(net, n, {v}, k) for v in range(n)]
-    short = [(flow, _least_cut(res, n, (v,))) for v, (flow, res) in enumerate(flows) if flow < k]
-    return _cut_witness(short, k), net, [res for _, res in flows]
+    short, residuals = [], []
+    for v in range(n):
+        flow, res = _augment(net, n, {v}, k)
+        if flow < k:
+            short.append((flow, _least_cut(res, n, (v,))))
+        if keep:
+            residuals.append(res)
+    return _cut_witness(short, k), net, residuals if keep else None
 
 
 def check_packing_conditions(instance: PackingInstance) -> Feasibility:
@@ -177,7 +185,7 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     # Per vertex v, the residual of a flow of value k into v, or None once a
     # commit broke it.  k is the source's whole out-capacity, so a kept flow
     # stays maximum and its residual gives the least cut into v.
-    verdict, net, residuals = _packing_conditions(graph, capacities, alive, demands)
+    verdict, net, residuals = _packing_conditions(graph, capacities, alive, demands, keep=True)
     if not verdict:
         raise InfeasiblePackingError(verdict)
     parts: list[set[int]] = [set() for _ in demands]

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,24 @@ def test_rational_weights_stay_exact():
     solution, certificate = max_weight_b_branching(g, b, w)
     assert WeightVector.from_values(w).value(solution.arcs) == Fraction(3, 2)
     assert verify_certificate(g, b, w, solution.arcs, certificate)
+
+
+def test_weights_parsed_once_match_the_list():
+    # README's quick start builds one WeightVector for both calls; a plain
+    # list of "num/den" strings, parsed by each call, gives the same
+    # solution, certificate and verdicts.
+    rng = random.Random(0x51)
+    for _ in range(200):
+        g = random_digraph(rng, 7, 14, loop_rate=0.1)
+        b = random_capacities(rng, g, 3)
+        w = [f"{rng.randint(-6, 24)}/{rng.choice((1, 2, 3, 6))}" for _ in g.arc_ids]
+        wv = WeightVector.from_values(w)
+        solution, certificate = max_weight_b_branching(g, b, wv)
+        assert max_weight_b_branching(g, b, w) == (solution, certificate)
+        for tampered in (certificate, replace(certificate, objective=certificate.objective + 1)):
+            check = verify_certificate(g, b, wv, solution.arcs, tampered)
+            assert verify_certificate(g, b, w, solution.arcs, tampered) == check
+            assert check.ok == (tampered is certificate)
 
 
 def test_greedy_matches_brute_force():

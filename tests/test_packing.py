@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -111,6 +112,31 @@ def test_construction_raises_the_entry_check_witness(monkeypatch):
         assert raised.value.feasibility == verdict
         assert flows == ([] if verdict.vertex is not None else _entry_flows(n))
     assert kinds == {"vertex", "subset"}
+
+
+def test_check_holds_one_residual_at_a_time():
+    # A check-only call drops each vertex's residual once its flow is read,
+    # so its peak is a few networks, where keeping n residuals for the
+    # construction takes tens of MB at n = 320.  The verdict is the one the
+    # construction's entry step reaches with every residual kept.
+    for n, limit in ((160, 1 << 20), (320, 2 << 20)):
+        instance = planted_packing_instance(random.Random(n), n, 2)
+        tracemalloc.start()
+        try:
+            verdict = check_packing_conditions(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (n, peak)
+        kept = packing._packing_conditions(
+            instance.graph,
+            instance.capacities,
+            frozenset(instance.graph.arc_ids),
+            instance.demands,
+            keep=True,
+        )
+        assert verdict == kept[0] and verdict
+        assert len(kept[2]) == n
 
 
 def test_exists_returns_the_check_verdict_from_one_construction(monkeypatch):

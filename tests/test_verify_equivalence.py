@@ -172,3 +172,95 @@ def test_nested_chain_matches_reference():
     for kind in MUTATIONS:
         arcs, tampered = mutate(rng, graph, solution.arcs, certificate, kind)
         assert_same_verdict(graph, caps, weights, arcs, tampered)
+
+
+def mirrored_chain(n: int, noise: int, seed: int):
+    """nested_chain with vertex v renamed n - 1 - v: the blob grows towards
+    smaller ids, so each set's least member is below those of the sets
+    inside it, and p_sets, sorted by (min, len), lists the outer set first."""
+    graph, caps, weights = nested_chain(n, noise, seed)
+    pairs = [(n - 1 - t, n - 1 - h) for _, t, h in graph.arcs()]
+    return Digraph.from_pairs(n, pairs), caps, weights
+
+
+def test_nested_family_listed_outside_in():
+    graph, caps, weights = mirrored_chain(40, 80, 0xC5)
+    solution, certificate = max_weight_b_branching(graph, caps, weights)
+    sets = [members for members, _ in certificate.p_sets]
+    assert [len(members) for members in sets] == list(range(graph.vertex_count, 1, -1))
+    assert all(inner < outer for outer, inner in zip(sets, sets[1:]))
+    assert assert_same_verdict(graph, caps, weights, solution.arcs, certificate)
+
+    # The verdict does not depend on the order p_sets lists the family in.
+    rng = random.Random(0xC5)
+    shuffled = list(certificate.p_sets)
+    for _ in range(5):
+        rng.shuffle(shuffled)
+        reordered = replace(certificate, p_sets=tuple(shuffled))
+        assert assert_same_verdict(graph, caps, weights, solution.arcs, reordered)
+        for kind in MUTATIONS:
+            arcs, tampered = mutate(rng, graph, solution.arcs, reordered, kind)
+            assert_same_verdict(graph, caps, weights, arcs, tampered)
+
+
+def test_duplicate_sets_and_zero_potentials():
+    # Splitting a set's potential over two copies of it, or adding a set of
+    # potential 0, changes no enclosed sum and no objective term.
+    rng = random.Random(0xD0)
+    split = 0
+    for _ in range(300):
+        graph = random_digraph(rng, 7, 14, loop_rate=0.1)
+        caps = random_capacities(rng, graph, 3)
+        weights = random_weights_mixed(rng, graph)
+        solution, certificate = max_weight_b_branching(graph, caps, weights)
+        p_sets = list(certificate.p_sets)
+        if p_sets:
+            i = rng.randrange(len(p_sets))
+            members, pot = p_sets[i]
+            p_sets[i : i + 1] = [(members, pot / 3), (members, pot * 2 / 3)]
+            split += 1
+        zero = frozenset(v for v in graph.vertices if rng.random() < 0.5) or frozenset({0})
+        p_sets.insert(rng.randrange(len(p_sets) + 1), (zero, Fraction(0)))
+        padded = replace(certificate, p_sets=tuple(p_sets))
+        assert assert_same_verdict(graph, caps, weights, solution.arcs, padded)
+        for kind in MUTATIONS:
+            arcs, tampered = mutate(rng, graph, solution.arcs, padded, kind)
+            assert_same_verdict(graph, caps, weights, arcs, tampered)
+    assert split >= 100
+
+
+def test_crossing_family_inside_its_parent():
+    # Read largest first, {0, 1, 2} lies inside {0, ..., 5}, the innermost
+    # set so far of its least member, yet it crosses {2, 3, 4, 5}: the
+    # family is not laminar though every set lies inside a larger one.  The
+    # path 0 -> 1 -> ... -> 5 is tight for all three sets.
+    graph = Digraph.from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 0)])
+    caps = CapacityVector([1] * 6)
+    weights = [3, 3, 4, 4, 4, 1, 2]
+    certificate = DualCertificate(
+        p_vertex={v: Fraction(0) for v in graph.vertices},
+        p_sets=(
+            (frozenset(range(6)), Fraction(1)),
+            (frozenset({2, 3, 4, 5}), Fraction(3)),
+            (frozenset({0, 1, 2}), Fraction(2)),
+        ),
+        q={},
+        objective=Fraction(18),
+    )
+    arcs = frozenset(range(5))
+    assert assert_same_verdict(graph, caps, weights, arcs, certificate)
+    rng = random.Random(0xC6)
+    for _ in range(200):
+        tampered_arcs, tampered = mutate(rng, graph, arcs, certificate, rng.choice(MUTATIONS))
+        assert_same_verdict(graph, caps, weights, tampered_arcs, tampered)
+
+
+def test_deep_chain_matches_reference():
+    graph, caps, weights = nested_chain(600, 300, 0x600)
+    solution, certificate = max_weight_b_branching(graph, caps, weights)
+    assert len(certificate.p_sets) == 599
+    assert assert_same_verdict(graph, caps, weights, solution.arcs, certificate)
+    rng = random.Random(0x600)
+    for kind in MUTATIONS:
+        arcs, tampered = mutate(rng, graph, solution.arcs, certificate, kind)
+        assert_same_verdict(graph, caps, weights, arcs, tampered)
