@@ -23,6 +23,7 @@ from .greedy import (
     WeightVector,
     max_weight_b_branching,
     parse_rational,
+    parse_rationals,
     verify_certificate,
 )
 from .matroids import CapacityError, CapacityVector, DemandVector, partition_oracle, uniform_oracle
@@ -87,7 +88,13 @@ def _rational(value: Any, path: str) -> Union[int, Fraction]:
 
 
 def _rationals(values: list, path: str) -> list:
-    """`_rational` of each value; a failing list is scanned again to name the index."""
+    """`_rational` of each value.  A list of strings is parsed in bulk by
+    `parse_rationals`; any other list, or one it rejects, goes value by
+    value, and a failing list is scanned again to name the index."""
+    parsed = parse_rationals(values) if set(map(type, values)) == {str} else None
+    if parsed is not None:
+        nums, dens = parsed
+        return [n // d if n % d == 0 else Fraction(n, d) for n, d in zip(nums, dens)]
     try:
         return [_rational(v, path) for v in values]
     except InputError:

@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import methodcaller, mul
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Union
 
 from .digraph import Digraph
@@ -65,6 +66,49 @@ def parse_rational(text: str) -> tuple[int, int]:
     return (-num if sign == "-" else num), den
 
 
+# A run of values, each followed by a newline, in the same grammar with its
+# groups made non-capturing (a run is only accepted or not), matched a chunk
+# at a time: one match over a whole long list would keep regex state for
+# every repeat.
+_RATIONAL_RUN = re.compile("(?:%s\n)*" % _RATIONAL.pattern.replace("(?:", "(").replace("(", "(?:"))
+_CHUNK = 256
+_SPLIT = methodcaller("partition", "/")
+
+
+def parse_rationals(texts: Sequence[str]) -> Optional[tuple[list[int], list[int]]]:
+    """Unreduced numerators and positive denominators of rational strings, or
+    None when one is outside the grammar, is a decimal or would raise in
+    `parse_rational`; the caller then names it with `parse_rational`.
+
+    Each chunk of a few hundred strings is joined and checked with one
+    match, so no string costs a regex call of its own.  Then one `int` per
+    numerator and one per distinct denominator string, through a dict, with
+    no Python frame per value.
+    """
+    nums: list[int] = []
+    dens: list[int] = []
+    den_of: dict[str, int] = {}
+    try:
+        for start in range(0, len(texts), _CHUNK):
+            chunk = texts[start : start + _CHUNK]
+            joined = "\n".join(chunk) + "\n"
+            # A newline inside a value would split it in two.
+            if joined.count("\n") != len(chunk) or "." in joined or not _RATIONAL_RUN.fullmatch(joined):
+                return None
+            if joined.count("/") == len(chunk):
+                pieces = joined.replace("/", "\n").split("\n")
+                heads, tails = pieces[0:-1:2], pieces[1::2]
+            else:
+                heads, _, tails = zip(*map(_SPLIT, chunk))
+            nums += map(int, heads)
+            for tail in set(tails).difference(den_of):
+                den_of[tail] = int(tail) if tail else 1
+            dens += map(den_of.__getitem__, tails)
+    except ValueError:  # more digits than `int` converts
+        return None
+    return None if 0 in den_of.values() else (nums, dens)
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Exact rational arc weights: integer numerators over one denominator."""
@@ -90,14 +134,30 @@ class WeightVector:
 
     @classmethod
     def from_values(cls, values: Iterable[RationalLike]) -> "WeightVector":
+        """The exact weight vector of ints, Fractions and rational strings.
+
+        A list of ints is taken as it is.  A list of strings only goes
+        through `parse_rationals`: chunks of a few hundred strings, each
+        joined and matched once, with no `parse_rational` call per value.
+        A mixed list, a decimal, or a chunk it rejects goes value by value,
+        which names the first bad value in its `WeightError`.
+        """
         values = list(values)
-        if all(type(v) is int for v in values):
+        types = set(map(type, values))
+        if types <= {int}:
             return cls(tuple(values), 1)
+        parsed = parse_rationals(values) if types == {str} else None
+        if parsed is None:
+            pairs = [parse_rational(v) if type(v) is str else cls._parse(v) for v in values]
+            parsed = [n for n, _ in pairs], [d for _, d in pairs]
+        nums, dens = parsed
         # One lcm over the (unreduced) denominators, then one gcd to reduce:
         # the result is the same as reducing every value first.
-        pairs = [parse_rational(v) if type(v) is str else cls._parse(v) for v in values]
-        den = math.lcm(*(d for _, d in pairs))
-        nums = [n * (den // d) for n, d in pairs]
+        distinct = set(dens)
+        den = math.lcm(*distinct)
+        if len(distinct) > 1:
+            scale = {d: den // d for d in distinct}
+            nums = list(map(mul, nums, map(scale.__getitem__, dens)))
         shrink = math.gcd(den, *nums)
         if shrink > 1:
             nums = [n // shrink for n in nums]
@@ -374,6 +434,10 @@ def verify_certificate(
     """Exact check of feasibility, dual feasibility, complementary slackness
     and the zero duality gap for a (solution, certificate) pair.
 
+    Each vertex, set and arc value is scaled by the weight denominator once,
+    before the sign checks: an int when its own denominator divides it, else
+    an exact Fraction, so the checks compare integers in the common case.
+    String weights are parsed in bulk (see `WeightVector.from_values`).
     The dual check costs one pass over the arcs plus the total size of the
     set family.  On a laminar family of C positive sets each distinct
     vertex or arc mask then costs O(1) operations on C-bit integers,
@@ -392,32 +456,38 @@ def verify_certificate(
     if saturated_components(graph, capacities, subset):
         return CertificateCheck(False, "primal-sparsity-violated")
 
+    # Every value is scaled by the weight denominator `den` once, before any
+    # comparison: an int when its own denominator divides `den` (always so
+    # for the solver's certificates), otherwise an exact Fraction, so a
+    # document with many denominators stays linear-time.  The sign tests and
+    # the sums then compare scaled values, in the same order as unscaled.
+    den = wv.denominator
+
+    def scaled(value):
+        kind = type(value)
+        if kind is int:
+            return value * den
+        num, d = value.as_integer_ratio() if kind is Fraction else (value.numerator, value.denominator)
+        return value * den if den % d else num * (den // d)
+
     p_vertex = certificate.p_vertex
     if set(p_vertex) != set(graph.vertices):
         return CertificateCheck(False, "vertex-potential-domain")
-    if any(p < 0 for p in p_vertex.values()):
+    p_scaled = [scaled(p_vertex[v]) for v in graph.vertices]
+    if min(p_scaled, default=0) < 0:
         return CertificateCheck(False, "vertex-potential-negative")
+    set_scaled = [scaled(pot) for _, pot in certificate.p_sets]
     vertex_ids = frozenset(graph.vertices)
-    for members, potential in certificate.p_sets:
+    for (members, _), potential in zip(certificate.p_sets, set_scaled):
         if not members or not members.issubset(vertex_ids):
             return CertificateCheck(False, "set-potential-domain")
         if potential < 0:
             return CertificateCheck(False, "set-potential-negative")
-    if any(v < 0 for v in certificate.q.values()):
+    q_scaled = {a: scaled(value) for a, value in certificate.q.items()}
+    if min(q_scaled.values(), default=0) < 0:
         return CertificateCheck(False, "arc-potential-negative")
     if not all(map(graph.arc_ids.__contains__, certificate.q)):
         return CertificateCheck(False, "arc-potential-domain")
-
-    # Every value is scaled by the weight denominator `den` once: an int when
-    # its own denominator divides `den` (always so for the solver's certificates),
-    # otherwise an exact Fraction, so a document with many denominators stays
-    # linear-time.  Comparisons of scaled values match the unscaled ones.
-    den = wv.denominator
-
-    def scaled(value):
-        if den % value.denominator:
-            return value * den
-        return value.numerator * (den // value.denominator)
 
     # One bit per positive set potential, the largest set first, so a set's
     # bit lies above those of the sets enclosing it; mask[v] holds the bits
@@ -428,9 +498,11 @@ def verify_certificate(
     # its innermost set leaves the chain above, so each distinct mask costs
     # O(1) big-integer operations amortised.  Any other family costs at
     # most one memo entry per bit of each distinct mask.
-    positive_sets = [(members, pot) for members, pot in certificate.p_sets if pot > 0]
+    positive_sets = [
+        (members, pot) for (members, _), pot in zip(certificate.p_sets, set_scaled) if pot > 0
+    ]
     positive_sets.sort(key=lambda item: -len(item[0]))
-    bit_potentials = [scaled(pot) for _, pot in positive_sets]
+    bit_potentials = [pot for _, pot in positive_sets]
     mask = _set_masks([members for members, _ in positive_sets], graph.vertex_count)
     enclosed_sum = {0: 0}
 
@@ -445,8 +517,6 @@ def verify_certificate(
             enclosed_sum[m] = total
         return total
 
-    p_scaled = {v: scaled(p) for v, p in p_vertex.items()}
-    q_scaled = {a: scaled(value) for a, value in certificate.q.items()}
     nums = wv.numerators
     # slack[m]: the solution arcs whose ends share exactly the sets of m,
     # less the capacity of the vertices whose mask is m (added below).
@@ -485,7 +555,7 @@ def verify_certificate(
     # set with potential 0 adds nothing.
     objective = scaled(certificate.objective)
     recomputed = (
-        sum(capacities[v] * p_scaled[v] for v in graph.vertices)
+        sum(map(mul, capacities, p_scaled))
         + enclosed_in_solution
         + sum(q_scaled.values())
     )

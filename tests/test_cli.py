@@ -12,10 +12,12 @@ from bbranching import (
     Digraph,
     PackingInstance,
     check_packing_conditions,
+    cli,
     cover_by_b_branchings,
     covering,
     digraph,
     find_disjoint_b_branchings,
+    greedy,
     matroids,
     packing,
 )
@@ -350,6 +352,29 @@ def test_integer_weights_pass_through_unparsed():
         assert doc.weights() == expected, w
     numerators = InstanceDocument.parse(TWO_CYCLE).weights().numerators
     assert all(type(v) is int for v in numerators)
+
+
+def test_certificate_strings_are_parsed_in_bulk(monkeypatch):
+    # `verify` reads every certificate value the CLI wrote as a string; a
+    # list of them reaches `parse_rational` only to name a bad value.
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(cli, "parse_rational", counted)
+    monkeypatch.setattr(greedy, "parse_rational", counted)
+    values = ["0"] * 1000 + ["3/6", "-4/2", "7"]
+    parsed = cli._rationals(values, "$.certificate.q")
+    assert parsed == [0] * 1000 + [Fraction(1, 2), -2, 7]
+    assert [type(v) for v in parsed[-3:]] == [Fraction, int, int]
+    assert cli._rationals(["0", "5"], "$.q") == [0, 5] and calls == []
+
+    values[600] = "1/0"
+    with pytest.raises(cli.InputError, match=r"\$\.certificate\.q\[600\]: cannot parse rational '1/0'"):
+        cli._rationals(values, "$.certificate.q")
+    assert calls and calls[-1] == "1/0"
 
 
 def test_capacities_checked_before_the_graph_is_built(tmp_path, capsys, monkeypatch):

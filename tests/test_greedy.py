@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ from bbranching import (
     WeightVector,
     brute_max_weight,
     dual_from_run,
+    greedy,
     max_weight_b_branching,
     max_weight_indegree_set,
     verify_certificate,
 )
-from bbranching.greedy import WeightError
+from bbranching.greedy import WeightError, parse_rational
 
 from helpers import random_capacities, random_digraph, random_weights
 
@@ -34,14 +36,57 @@ def test_weight_vector_parsing():
         WeightVector.from_values(["nope"])
 
 
+TOO_LONG = "7" * 4301  # one digit past the default limit of int(str)
+
+
 @pytest.mark.parametrize(
-    "text", ["1e200000", "1E5", "2.5e-3", " 1/2", "1_000", ".5", "3.", "1/0", "1/-2", "+-1", "１"]
+    "text",
+    [
+        "1e200000", "1E5", "2.5e-3", " 1/2", "1_000", ".5", "3.", "1/0", "1/-2", "+-1", "１",
+        # A newline joins the strings that are checked in bulk.
+        "1\n2", "3/4\n", "\n", "1\n/2", "1\n2/3",
+        # int() reads these digits and underscores; the grammar does not.
+        "٣", "²", "1_0", "1/٣",
+        pytest.param(TOO_LONG, id="4301-digit numerator"),
+        pytest.param(f"1/{TOO_LONG}", id="4301-digit denominator"),
+        "00/000",
+    ],
 )
 def test_weight_strings_outside_the_rational_grammar_are_rejected(text):
     # An exponent string would otherwise expand into a huge integer:
     # Fraction("1e200000") has a 664 386-bit numerator.
-    with pytest.raises(WeightError):
-        WeightVector.from_values([text, 1])
+    if TOO_LONG in text and not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("int() converts any number of digits on this interpreter")
+    with pytest.raises(WeightError) as expected:
+        parse_rational(text)
+    # Mixed, alone, after a valid string, and among valid strings in a later
+    # chunk of the bulk check: the same message, naming the same value.
+    long = [f"{i}/{i % 5 + 1}" for i in range(600)]
+    for values in ([text, 1], [text], ["1/2", text], long[:400] + [text] + long[400:]):
+        with pytest.raises(WeightError) as raised:
+            WeightVector.from_values(values)
+        assert str(raised.value) == str(expected.value), values[:3]
+
+
+def test_string_weights_are_parsed_in_bulk(monkeypatch):
+    # A count, not a clock: a list of "num/den" strings reaches
+    # `parse_rational` only to name a bad value.
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(greedy, "parse_rational", counted)
+    rng = random.Random(25)
+    values = [f"{rng.randint(-20, 100)}/{rng.choice((1, 2, 3, 4, 6))}" for _ in range(200)]
+    assert WeightVector.from_values(values) == fraction_weight_vector(values)
+    assert calls == []
+
+    values[150] = "7/x"
+    with pytest.raises(WeightError, match="cannot parse rational '7/x'"):
+        WeightVector.from_values(values)
+    assert calls[-1] == "7/x"
 
 
 def fraction_weight_vector(values):
@@ -55,7 +100,10 @@ def fraction_weight_vector(values):
 
 def test_rational_strings_parse_to_the_reduced_weight_vector():
     rng = random.Random(113)
-    fixed = [["0/3", "-4/6", "2/4"], ["0/3", "0/6"], ["-4/6", 7, Fraction(1, 3)], ["-0.50", "1.25", "+3"]]
+    fixed = [
+        ["0/3", "-4/6", "2/4"], ["0/3", "0/6"], ["-4/6", 7, Fraction(1, 3)], ["-0.50", "1.25", "+3"],
+        ["+007/010", "-0", "5"], ["1/3", "2/3"] * 200, [f"{i}/{i % 7 + 1}" for i in range(-300, 300)],
+    ]
     drawn = [
         [f"{rng.randint(-20, 100)}/{rng.choice((1, 2, 3, 4, 6))}" for _ in range(rng.randint(1, 180))]
         for _ in range(300)

@@ -159,3 +159,31 @@ def test_only_the_oracle_enumerates_arc_or_vertex_sets():
             if _names(node) & scans and id(node) not in allowed or gone in _names(node)
         ]
     assert SOURCES and not found, f"exhaustive enumeration outside oracle.py: {found}"
+
+
+def test_rational_grammar_is_spelled_once():
+    # `greedy._RATIONAL` is the one rational grammar of the library: the
+    # bulk pattern is built from its text, and no other string holds a
+    # digit class.
+    digit_classes = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ("[0-9]" in node.value or "\\d" in node.value)
+    ]
+    assert len(digit_classes) == 1 and digit_classes[0].startswith("greedy.py:"), digit_classes
+    greedy = Path(bbranching.__file__).parent / "greedy.py"
+    built_from = [
+        target.id
+        for node in ast.walk(ast.parse(greedy.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        for inner in ast.walk(node.value)
+        if isinstance(inner, ast.Attribute)
+        and inner.attr == "pattern"
+        and isinstance(inner.value, ast.Name)
+        and inner.value.id == "_RATIONAL"
+    ]
+    assert built_from == ["_RATIONAL_RUN"], built_from

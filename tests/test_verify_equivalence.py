@@ -264,3 +264,69 @@ def test_deep_chain_matches_reference():
     for kind in MUTATIONS:
         arcs, tampered = mutate(rng, graph, solution.arcs, certificate, kind)
         assert_same_verdict(graph, caps, weights, arcs, tampered)
+
+
+def cli_shaped(certificate):
+    """The certificate with each integral value an `int`, as `cli._rational`
+    returns the values of a document."""
+
+    def value(x):
+        return x.numerator if x.denominator == 1 else x
+
+    return DualCertificate(
+        p_vertex={v: value(p) for v, p in certificate.p_vertex.items()},
+        p_sets=tuple((members, value(p)) for members, p in certificate.p_sets),
+        q={a: value(x) for a, x in certificate.q.items()},
+        objective=value(certificate.objective),
+    )
+
+
+def cli_shaped_mutant(rng, graph, arcs, certificate, kind):
+    arcs, tampered = mutate(rng, graph, arcs, certificate, kind)
+    return arcs, cli_shaped(tampered)
+
+
+def test_cli_shaped_inputs_match_reference():
+    # Weights as "num/den" strings and values as the CLI parses them; the
+    # reference reads the weights through `Fraction` instead.
+    rng = random.Random(0xC11)
+    for _ in range(400):
+        graph = random_digraph(rng, 7, 14, loop_rate=0.1)
+        caps = random_capacities(rng, graph, 3)
+        fractions = [Fraction(w) for w in random_weights_mixed(rng, graph)]
+        strings = [f"{w.numerator}/{w.denominator}" for w in fractions]
+        solution, certificate = max_weight_b_branching(graph, caps, strings)
+        shaped = cli_shaped(certificate)
+        assert verify_certificate(graph, caps, strings, solution.arcs, shaped)
+        cases = [(solution.arcs, shaped)]
+        cases += [cli_shaped_mutant(rng, graph, solution.arcs, shaped, kind) for kind in MUTATIONS]
+        for arcs, tampered in cases:
+            fast = verify_certificate(graph, caps, strings, arcs, tampered)
+            slow = reference_verify(graph, caps, fractions, arcs, tampered)
+            assert (fast.ok, fast.reason) == (slow.ok, slow.reason)
+
+
+def test_negative_values_that_do_not_divide_the_weight_denominator():
+    # -2/7 against integral weights scales to a Fraction; its sign still
+    # decides, wherever it sits.
+    rng = random.Random(0x27)
+    minus = Fraction(-2, 7)
+    seen = set()
+    for _ in range(100):
+        graph = random_digraph(rng, 6, 12, loop_rate=0.1)
+        caps = random_capacities(rng, graph, 2)
+        weights = [str(rng.randint(-3, 12)) for _ in graph.arc_ids]
+        solution, certificate = max_weight_b_branching(graph, caps, weights)
+        shaped = cli_shaped(certificate)
+        v = rng.choice(graph.vertices)
+        members = frozenset(rng.sample(graph.vertices, rng.randint(1, graph.vertex_count)))
+        tampered = [
+            replace(shaped, p_vertex={**shaped.p_vertex, v: minus}),
+            replace(shaped, p_sets=shaped.p_sets + ((members, minus),)),
+        ]
+        if graph.arc_count:
+            tampered.append(replace(shaped, q={**shaped.q, rng.choice(graph.arc_ids): minus}))
+        for cert in tampered:
+            check = assert_same_verdict(graph, caps, weights, solution.arcs, cert)
+            seen.add(check.reason)
+    assert seen == {"vertex-potential-negative", "set-potential-negative", "arc-potential-negative"}
