@@ -52,13 +52,7 @@ from .covering import (
     integer_decompose,
 )
 from .mrgreedy import MatroidAssignment, OracleInconsistencyError, mr_max_weight_b_branching
-from .oracle import (
-    SizeGateError,
-    brute_exists_packing,
-    brute_max_weight,
-    brute_min_set_function,
-    enumerate_b_branchings,
-)
+from .oracle import SizeGateError, brute_exists_packing, brute_max_weight
 
 __all__ = [
     "BBranching",
@@ -82,12 +76,10 @@ __all__ = [
     "WeightVector",
     "brute_exists_packing",
     "brute_max_weight",
-    "brute_min_set_function",
     "check_cover_conditions",
     "check_packing_conditions",
     "cover_by_b_branchings",
     "dual_from_run",
-    "enumerate_b_branchings",
     "exists_b_branching_with_indegree",
     "find_disjoint_b_branchings",
     "fundamental_circuit",

@@ -1,14 +1,16 @@
-"""Exhaustive reference implementations for desk-scale cross-checking.
+"""Exhaustive scans behind the CLI's `--oracle` flag.
 
-Everything here trades speed for being obviously correct from the
-definitions; size gates fail loudly instead of degrading.
+`brute_max_weight`, `brute_max_weight_restricted` and `brute_exists_packing`
+trade speed for being obviously correct from the definitions; the size
+gates `MAX_VERTICES` and `MAX_ARCS` fail loudly with `SizeGateError`
+instead of degrading.  The other exhaustive references live with the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .digraph import Digraph
 from .greedy import WeightVector
@@ -19,7 +21,8 @@ class SizeGateError(RuntimeError):
     """An instance exceeded the limits of a brute-force oracle."""
 
 
-# The scans visit up to 2**MAX_VERTICES vertex sets or 2**MAX_ARCS arc sets.
+# `brute_exists_packing` takes at most MAX_VERTICES vertices, and the arc
+# scans visit up to 2**MAX_ARCS arc sets.
 MAX_VERTICES = 20
 MAX_ARCS = 22
 
@@ -32,62 +35,6 @@ def _check_vertices(n: int) -> None:
 def _check_arcs(m: int) -> None:
     if m > MAX_ARCS:
         raise SizeGateError(f"{m} arcs exceed the gate of {MAX_ARCS}")
-
-
-def enumerate_b_branchings(graph: Digraph, capacities: CapacityVector) -> list[frozenset]:
-    """Every feasible arc set, sorted by (size, sorted arc ids)."""
-    _check_arcs(graph.arc_count)
-    found: list[frozenset] = []
-    arcs = graph.arc_ids
-
-    def extend(idx: int, chosen: list[int], degrees: dict) -> None:
-        if idx == len(arcs):
-            subset = frozenset(chosen)
-            if not sparsity_violating_components(graph, capacities, subset):
-                found.append(subset)
-            return
-        extend(idx + 1, chosen, degrees)
-        a = arcs[idx]
-        head = graph.head(a)
-        if degrees.get(head, 0) < capacities[head]:
-            degrees[head] = degrees.get(head, 0) + 1
-            chosen.append(a)
-            extend(idx + 1, chosen, degrees)
-            chosen.pop()
-            degrees[head] -= 1
-
-    extend(0, [], {})
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def brute_min_set_function(
-    func: Callable[[frozenset], int],
-    vertices: Iterable[int],
-    constraint: Optional[Callable[[frozenset], bool]] = None,
-) -> tuple[frozenset, int]:
-    """Global minimum of a set function over the (constrained) subset lattice.
-
-    Returns an inclusionwise-minimal minimizer: scanning by cardinality and
-    then lexicographic vertex order means the reported set cannot contain a
-    smaller minimizing subset.
-    """
-    verts = sorted(vertices)
-    _check_vertices(len(verts))
-    best_key = None
-    best_set = None
-    for size in range(len(verts) + 1):
-        for combo in combinations(verts, size):
-            subset = frozenset(combo)
-            if constraint is not None and not constraint(subset):
-                continue
-            value = func(subset)
-            key = (value, size, combo)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_set = subset
-    if best_set is None:
-        raise ValueError("no subset satisfies the constraints")
-    return best_set, best_key[0]
 
 
 def _per_vertex_choices(

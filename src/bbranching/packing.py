@@ -291,7 +291,9 @@ def min_weight_disjoint_b_branchings(
     instance: PackingInstance,
     weights: Union[WeightVector, Iterable],
 ) -> PackingResult:
-    """Minimum-total-weight packing by exhaustive search (test oracle only).
+    """Minimum-total-weight packing by exhaustive search, behind the CLI's
+    `pack-min-weight`; a feasible instance over `oracle.MAX_ARCS` arcs raises
+    `SizeGateError`.
 
     Scans candidate unions with the exact combined indegrees, keeps the
     lightest one whose restricted instance stays feasible, then partitions it

@@ -1,5 +1,6 @@
 """Shared random-instance generators and the test-only reference
-implementations (sparsity scan and check, certificate verifier, vertex-set
+implementations (the enumeration of every b-branching and the set-function
+minimizer, sparsity scan and check, certificate verifier, vertex-set
 contraction, phase engine, dual replay, and the subset-scan packing and
 cover checks and construction)
 for the test suite."""
@@ -10,7 +11,8 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from itertools import combinations
+from typing import Callable, Iterable, Mapping, Optional
 
 from bbranching import (
     CapacityVector,
@@ -26,10 +28,11 @@ from bbranching import (
     WeightVector,
     fundamental_circuit,
     is_b_branching,
+    sparsity_violating_components,
 )
 from bbranching.digraph import _check_subset
 from bbranching.matroids import indegree_profile
-from bbranching.oracle import brute_min_set_function
+from bbranching.oracle import _check_arcs, _check_vertices
 from bbranching.packing import _demand_count
 
 
@@ -128,6 +131,68 @@ def random_indegree_independent_set(rng: random.Random, graph: Digraph, capaciti
         take = rng.randint(0, min(capacities[v], len(pool)))
         chosen.extend(pool[:take])
     return frozenset(chosen)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive scans: every feasible arc set, the minimum of a set function
+# over every vertex set, and sparsity by a scan of every vertex set.  The
+# first two raise `SizeGateError` past the gates of `bbranching.oracle`.
+
+
+def enumerate_b_branchings(graph: Digraph, capacities: CapacityVector) -> list[frozenset]:
+    """Every feasible arc set, sorted by (size, sorted arc ids)."""
+    _check_arcs(graph.arc_count)
+    found: list[frozenset] = []
+    arcs = graph.arc_ids
+
+    def extend(idx: int, chosen: list[int], degrees: dict) -> None:
+        if idx == len(arcs):
+            subset = frozenset(chosen)
+            if not sparsity_violating_components(graph, capacities, subset):
+                found.append(subset)
+            return
+        extend(idx + 1, chosen, degrees)
+        a = arcs[idx]
+        head = graph.head(a)
+        if degrees.get(head, 0) < capacities[head]:
+            degrees[head] = degrees.get(head, 0) + 1
+            chosen.append(a)
+            extend(idx + 1, chosen, degrees)
+            chosen.pop()
+            degrees[head] -= 1
+
+    extend(0, [], {})
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def brute_min_set_function(
+    func: Callable[[frozenset], int],
+    vertices: Iterable[int],
+    constraint: Optional[Callable[[frozenset], bool]] = None,
+) -> tuple[frozenset, int]:
+    """Global minimum of a set function over the (constrained) subset lattice.
+
+    Returns an inclusionwise-minimal minimizer: scanning by cardinality and
+    then lexicographic vertex order means the reported set cannot contain a
+    smaller minimizing subset.
+    """
+    verts = sorted(vertices)
+    _check_vertices(len(verts))
+    best_key = None
+    best_set = None
+    for size in range(len(verts) + 1):
+        for combo in combinations(verts, size):
+            subset = frozenset(combo)
+            if constraint is not None and not constraint(subset):
+                continue
+            value = func(subset)
+            key = (value, size, combo)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_set = subset
+    if best_set is None:
+        raise ValueError("no subset satisfies the constraints")
+    return best_set, best_key[0]
 
 
 def reference_sparsity(graph: Digraph, capacities, arcs: Iterable[int]) -> bool:

@@ -25,7 +25,6 @@ from bbranching import (
     check_cover_conditions,
     check_packing_conditions,
     cover_by_b_branchings,
-    enumerate_b_branchings,
     find_disjoint_b_branchings,
     g_value,
     integer_decompose,
@@ -40,7 +39,7 @@ from bbranching import (
 from bbranching.matroids import indegree_profile
 from bbranching.oracle import brute_max_weight_restricted
 
-from helpers import random_indegree_independent_set, reference_sparsity
+from helpers import enumerate_b_branchings, random_indegree_independent_set, reference_sparsity
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -11,14 +11,18 @@ from bbranching import (
     InfeasiblePackingError,
     check_cover_conditions,
     cover_by_b_branchings,
-    enumerate_b_branchings,
     find_disjoint_b_branchings,
     integer_decompose,
     is_b_branching,
     max_weight_b_branching,
 )
 
-from helpers import random_capacities, random_digraph, reference_saturated_components
+from helpers import (
+    enumerate_b_branchings,
+    random_capacities,
+    random_digraph,
+    reference_saturated_components,
+)
 
 
 def test_cover_conditions_examples():

@@ -10,7 +10,6 @@ from bbranching import (
     MatroidOracle,
     OracleInconsistencyError,
     WeightVector,
-    enumerate_b_branchings,
     max_weight_b_branching,
     mr_max_weight_b_branching,
     partition_oracle,
@@ -20,7 +19,7 @@ from bbranching import (
 from bbranching import mrgreedy
 from bbranching.oracle import brute_max_weight_restricted
 
-from helpers import random_digraph
+from helpers import enumerate_b_branchings, random_digraph
 
 
 def uniform_assignment(graph, capacities):

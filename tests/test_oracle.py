@@ -12,11 +12,9 @@ from bbranching import (
     SizeGateError,
     brute_exists_packing,
     brute_max_weight,
-    brute_min_set_function,
-    enumerate_b_branchings,
 )
 
-from helpers import random_digraph
+from helpers import brute_min_set_function, enumerate_b_branchings, random_digraph
 
 
 def test_enumerate_empty_graph():

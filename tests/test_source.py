@@ -1,6 +1,7 @@
 """Source-level guards over the library modules."""
 
 import ast
+import sys
 from pathlib import Path
 
 import bbranching
@@ -78,25 +79,51 @@ def test_hot_modules_index_the_endpoint_tuples():
 
 def _names(node):
     """The identifiers a node binds or reads: a name, an attribute, a
-    definition or an imported alias."""
-    return {getattr(node, key, None) for key in ("id", "attr", "name")}
+    definition or an imported alias, under either of its names."""
+    return {getattr(node, key, None) for key in ("id", "attr", "name", "asname")}
 
 
 def test_only_the_oracle_scans_vertex_sets():
-    # The checks and the construction decide by max flow; the 2^n scan
-    # serves tests and `--oracle` only, so no other library module names it
-    # (the package root re-exports it from `oracle`).  Sparsity had a scan
-    # of its own, with a 20-vertex gate; neither name may come back.
-    scans = {"brute_min_set_function", "_sparsity_brute_force", "SPARSITY_BRUTE_FORCE_LIMIT"}
+    # The checks and the construction decide by max flow, and `--oracle`
+    # scans arc sets only, so the 2^n vertex-set scan and the enumeration of
+    # every b-branching serve the tests alone (`tests/helpers.py`): no
+    # library module names them, `oracle.py` and the package root's import
+    # aliases included.  Sparsity had a scan of its own, with a 20-vertex
+    # gate; neither name may come back.
+    scans = {
+        "brute_min_set_function",
+        "enumerate_b_branchings",
+        "_sparsity_brute_force",
+        "SPARSITY_BRUTE_FORCE_LIMIT",
+    }
     found = [
         f"{path.name}:{node.lineno}: {sorted(_names(node) & scans)}"
         for path in SOURCES
-        if path.name != "oracle.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         if _names(node) & scans
-        and not (path.name == "__init__.py" and isinstance(node, ast.alias))
     ]
-    assert SOURCES and not found, f"subset scan named outside oracle.py: {found}"
+    assert SOURCES and not found, f"test-only scan named in the library: {found}"
+
+
+def test_library_imports_only_the_standard_library():
+    # The library has no runtime dependency: every import is relative or
+    # names a standard-library module, so numpy, scipy and networkx stay
+    # optional test-only imports.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {module}"
+                for module in modules
+                if module.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert SOURCES and not found, f"non-stdlib imports in the library: {found}"
 
 
 def test_max_flow_is_written_once():

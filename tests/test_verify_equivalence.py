@@ -57,19 +57,33 @@ def random_weights_mixed(rng, graph):
     return [Fraction(rng.randint(-6, 24), rng.choice((1, 2, 3, 6))) for _ in graph.arc_ids]
 
 
+def integral_as_int(weights):
+    return [w.numerator if isinstance(w, Fraction) and w.denominator == 1 else w for w in weights]
+
+
 def test_tampered_certificates_match_reference():
+    # Each certificate is checked as built and with its integral weights and
+    # values as ints.  `verify_certificate` has no duality-gap check: once
+    # the earlier checks pass, the recomputed objective is the solution's
+    # weight (README.md), so the reference, which keeps that check, never
+    # reaches it, and a wrong objective alone reads `objective-mismatch`.
     rng = random.Random(0x5E1)
     reasons = set()
-    for _ in range(600):
+    for _ in range(2000):
         graph = random_digraph(rng, 7, 14, loop_rate=0.1)
         caps = random_capacities(rng, graph, 3)
         weights = random_weights_mixed(rng, graph)
         solution, certificate = max_weight_b_branching(graph, caps, weights)
         assert assert_same_verdict(graph, caps, weights, solution.arcs, certificate)
-        for kind in MUTATIONS:
-            arcs, tampered = mutate(rng, graph, solution.arcs, certificate, kind)
-            check = assert_same_verdict(graph, caps, weights, arcs, tampered)
-            reasons.add((check.reason or "ok").split(":")[0])
+        cases = [(None, solution.arcs, certificate)]
+        cases += [(kind, *mutate(rng, graph, solution.arcs, certificate, kind)) for kind in MUTATIONS]
+        for kind, arcs, tampered in cases:
+            for w, cert in ((weights, tampered), (integral_as_int(weights), cli_shaped(tampered))):
+                check = assert_same_verdict(graph, caps, w, arcs, cert)
+                assert check.reason != "duality-gap"
+                if kind == "objective":
+                    assert check.reason == "objective-mismatch"
+                reasons.add((check.reason or "ok").split(":")[0])
     # The mutations reach every dual-side check, not only the first one.
     assert {
         "ok",
