@@ -22,7 +22,6 @@ from .greedy import (
     WeightError,
     WeightVector,
     max_weight_b_branching,
-    parse_rational,
     parse_rationals,
     verify_certificate,
 )
@@ -72,35 +71,18 @@ def _format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _rational(value: Any, path: str) -> Union[int, Fraction]:
-    """A JSON integer or rational string: an `int` when integral, else a `Fraction`."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        try:
-            num, den = parse_rational(value)
-        except WeightError as exc:
-            raise _fail(path, str(exc)) from None
-        return num // den if num % den == 0 else Fraction(num, den)
-    if isinstance(value, bool):
-        raise _fail(path, "booleans are not rationals")
-    raise _fail(path, f"expected an integer or 'num/den' string, got {value!r}")
-
-
-def _rationals(values: list, path: str) -> list:
-    """`_rational` of each value.  A list of strings is parsed in bulk by
-    `parse_rationals`; any other list, or one it rejects, goes value by
-    value, and a failing list is scanned again to name the index."""
-    parsed = parse_rationals(values) if set(map(type, values)) == {str} else None
-    if parsed is not None:
-        nums, dens = parsed
-        return [n // d if n % d == 0 else Fraction(n, d) for n, d in zip(nums, dens)]
+def _rationals(values: list, path: str, single: bool = False) -> list:
+    """JSON integers or rational strings, each an `int` when integral, else a
+    `Fraction`.  A bad value is named `path[i]`, or `path` when `single`."""
     try:
-        return [_rational(v, path) for v in values]
-    except InputError:
-        for i, v in enumerate(values):
-            _rational(v, f"{path}[{i}]")
-        raise
+        nums, dens = parse_rationals(values)
+    except WeightError as exc:
+        raise _fail(path if single else f"{path}[{exc.index}]", str(exc)) from None
+    return [n // d if n % d == 0 else Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+def _rational(value: Any, path: str) -> Union[int, Fraction]:
+    return _rationals([value], path, single=True)[0]
 
 
 def _bad_arc(entry: Any, path: str, n: int) -> InputError:
@@ -146,9 +128,8 @@ class InstanceDocument:
         w = _list(self.raw.get("w"), "$.w", f"expected a list of {m} weights", m)
         try:
             return WeightVector.from_values(w)
-        except WeightError:
-            _rationals(w, "$.w")
-            raise
+        except WeightError as exc:
+            raise _fail(f"$.w[{exc.index}]", str(exc)) from None
 
     def parts_count(self) -> int:
         k = _expect_int(self.raw.get("k"), "$.k")

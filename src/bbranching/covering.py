@@ -6,9 +6,9 @@ tight at capacity everywhere, after which the packing parts restricted to
 the original arcs partition it.  The cover condition is a closure min cut:
 k units of flow must reach every vertex from a source feeding each v with
 k b(v) - indeg(v), the slack network that decides sparsity at k = 1.
-Integer points of k times the feasible polytope
-decompose by covering the multigraph that carries each arc with its
-multiplicity, then exchanging copies until no part holds two of one arc.
+An integer point x of k times the feasible polytope passes that check with
+x as arc capacities, then decomposes by covering the multigraph carrying
+x(a) copies of each arc a and exchanging copies until no part holds two.
 """
 
 from __future__ import annotations
@@ -37,14 +37,24 @@ class DecompositionError(ValueError):
 
 def check_cover_conditions(graph: Digraph, capacities: CapacityVector, k: int) -> Feasibility:
     """Per-vertex degree bound plus the induced-arc bound over all vertex sets."""
+    return _cover_conditions(graph, capacities, k, [1] * graph.arc_count)
+
+
+def _cover_conditions(
+    graph: Digraph, capacities: CapacityVector, k: int, copies: Sequence[int]
+) -> Feasibility:
+    """`check_cover_conditions` of the multigraph carrying `copies[a]` copies
+    of each arc a, decided on `graph` with arc capacities: the work does not
+    grow with the copies."""
     if k < 1:
         raise ValueError("k must be at least 1")
     capacities.check_domain(graph)
-    supply = [k * cap - len(entering) for cap, entering in zip(capacities, graph.entering)]
+    indegree = [sum(map(copies.__getitem__, entering)) for entering in graph.entering]
+    supply = [k * cap - d for cap, d in zip(capacities, indegree)]
     for v, c in enumerate(supply):
         if c < 0:
             return Feasibility(False, vertex=v)
-    return _cut_witness(_slack_cuts(graph, graph.arc_ids, supply, k), k)
+    return _cut_witness(_slack_cuts(graph, zip(graph.arc_ids, copies), supply, k), k)
 
 
 def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -> list[frozenset]:
@@ -165,10 +175,10 @@ def integer_decompose(
                 f"multiplicity {c} at arc {a} outside [0, {k}]", witness={"arc": a}
             )
 
-    expanded, origin = _multiplicity_graph(graph, values)
-    feasibility = check_cover_conditions(expanded, capacities, k)
+    feasibility = _cover_conditions(graph, capacities, k, values)
     if not feasibility:
         raise DecompositionError("vector lies outside k times the polytope", feasibility.witness())
+    expanded, origin = _multiplicity_graph(graph, values)
 
     parts = _exchange_copies(
         expanded, capacities, origin, _augmented_cover_parts(expanded, capacities, k)

@@ -25,7 +25,10 @@ from .phases import ContractionStep, _run_phases, _select_at
 
 
 class WeightError(ValueError):
-    """Raised for malformed weight inputs (wrong size, inexact values)."""
+    """Raised for malformed weight inputs (wrong size, inexact values).
+    `index` is the position of the bad value when a list was read."""
+
+    index: Optional[int] = None
 
 
 RationalLike = Union[int, str, Fraction]
@@ -75,38 +78,60 @@ _CHUNK = 256
 _SPLIT = methodcaller("partition", "/")
 
 
-def parse_rationals(texts: Sequence[str]) -> Optional[tuple[list[int], list[int]]]:
-    """Unreduced numerators and positive denominators of rational strings, or
-    None when one is outside the grammar, is a decimal or would raise in
-    `parse_rational`; the caller then names it with `parse_rational`.
+def parse_rationals(values: Sequence[RationalLike]) -> tuple[list[int], list[int]]:
+    """Unreduced numerators and positive denominators of ints, Fractions and
+    rational strings.
 
-    Each chunk of a few hundred strings is joined and checked with one
-    match, so no string costs a regex call of its own.  Then one `int` per
-    numerator and one per distinct denominator string, through a dict, with
-    no Python frame per value.
+    A list of strings only is read in bulk: each chunk of a few hundred
+    strings is joined and checked with one match, so no string costs a
+    regex call of its own.  Then one `int` per numerator and one per
+    distinct denominator string, through a dict, with no Python frame per
+    value.  Any other list, a single value, or a list with a decimal or a
+    value the bulk read rejects goes value by value, and the WeightError of
+    the first bad value carries its position as `index`.
     """
-    nums: list[int] = []
-    dens: list[int] = []
-    den_of: dict[str, int] = {}
-    try:
-        for start in range(0, len(texts), _CHUNK):
-            chunk = texts[start : start + _CHUNK]
-            joined = "\n".join(chunk) + "\n"
-            # A newline inside a value would split it in two.
-            if joined.count("\n") != len(chunk) or "." in joined or not _RATIONAL_RUN.fullmatch(joined):
-                return None
-            if joined.count("/") == len(chunk):
-                pieces = joined.replace("/", "\n").split("\n")
-                heads, tails = pieces[0:-1:2], pieces[1::2]
+    if len(values) > 1 and set(map(type, values)) == {str}:
+        nums: list[int] = []
+        dens: list[int] = []
+        den_of: dict[str, int] = {}
+        try:
+            for start in range(0, len(values), _CHUNK):
+                chunk = values[start : start + _CHUNK]
+                joined = "\n".join(chunk) + "\n"
+                # A newline inside a value would split it in two.
+                if joined.count("\n") != len(chunk) or "." in joined or not _RATIONAL_RUN.fullmatch(joined):
+                    break
+                if joined.count("/") == len(chunk):
+                    pieces = joined.replace("/", "\n").split("\n")
+                    heads, tails = pieces[0:-1:2], pieces[1::2]
+                else:
+                    heads, _, tails = zip(*map(_SPLIT, chunk))
+                nums += map(int, heads)
+                for tail in set(tails).difference(den_of):
+                    den_of[tail] = int(tail) if tail else 1
+                dens += map(den_of.__getitem__, tails)
             else:
-                heads, _, tails = zip(*map(_SPLIT, chunk))
-            nums += map(int, heads)
-            for tail in set(tails).difference(den_of):
-                den_of[tail] = int(tail) if tail else 1
-            dens += map(den_of.__getitem__, tails)
-    except ValueError:  # more digits than `int` converts
-        return None
-    return None if 0 in den_of.values() else (nums, dens)
+                if 0 not in den_of.values():
+                    return nums, dens
+        except ValueError:  # more digits than `int` converts
+            pass
+    nums, dens = [], []
+    for i, value in enumerate(values):
+        try:
+            if isinstance(value, str):
+                num, den = parse_rational(value)
+            elif isinstance(value, bool):
+                raise WeightError("booleans are not rationals")
+            elif isinstance(value, (int, Fraction)):
+                num, den = value.numerator, value.denominator
+            else:
+                raise WeightError(f"expected an integer or 'num/den' string, got {value!r}")
+        except WeightError as exc:
+            exc.index = i
+            raise
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
 
 
 @dataclass(frozen=True)
@@ -120,37 +145,17 @@ class WeightVector:
         if self.denominator <= 0:
             raise WeightError("denominator must be positive")
 
-    @staticmethod
-    def _parse(value: RationalLike) -> tuple[int, int]:
-        if isinstance(value, bool):
-            raise WeightError(f"not a rational weight: {value!r}")
-        if isinstance(value, int):
-            return int(value), 1
-        if isinstance(value, Fraction):
-            return value.numerator, value.denominator
-        if isinstance(value, str):
-            return parse_rational(value)
-        raise WeightError(f"not an exact rational: {value!r} (floats are rejected)")
-
     @classmethod
     def from_values(cls, values: Iterable[RationalLike]) -> "WeightVector":
         """The exact weight vector of ints, Fractions and rational strings.
 
-        A list of ints is taken as it is.  A list of strings only goes
-        through `parse_rationals`: chunks of a few hundred strings, each
-        joined and matched once, with no `parse_rational` call per value.
-        A mixed list, a decimal, or a chunk it rejects goes value by value,
-        which names the first bad value in its `WeightError`.
+        A list of ints is taken as it is; any other list is read by
+        `parse_rationals`, whose WeightError names the first bad value.
         """
         values = list(values)
-        types = set(map(type, values))
-        if types <= {int}:
+        if set(map(type, values)) <= {int}:
             return cls(tuple(values), 1)
-        parsed = parse_rationals(values) if types == {str} else None
-        if parsed is None:
-            pairs = [parse_rational(v) if type(v) is str else cls._parse(v) for v in values]
-            parsed = [n for n, _ in pairs], [d for _, d in pairs]
-        nums, dens = parsed
+        nums, dens = parse_rationals(values)
         # One lcm over the (unreduced) denominators, then one gcd to reduce:
         # the result is the same as reducing every value first.
         distinct = set(dens)

@@ -273,15 +273,17 @@ def sparsity_violating_components(
     return saturated_components(graph, capacities, subset)
 
 
-def _slack_cuts(graph: Digraph, arcs: Iterable[int], supply: Sequence[int], k: int) -> Iterator:
+def _slack_cuts(graph: Digraph, copies: Iterable[tuple], supply: Sequence[int], k: int) -> Iterator:
     """Lazily, per vertex v, (min over X holding v of supply(X) + rho_F(X),
-    capped at k; the least minimizer once below k, else None).  The source
-    feeds each v with supply(v) > 0, each v with supply(v) < 0 drains into a
-    sink t, and each non-loop arc of F is a unit arc, so a cut into {v, t}
-    costs that minimum plus the total drain.  With supply = k b - indeg_F
-    the minimum is k b(X) - |F[X]|: loops count in both but never cross a
-    cut.  The drain is routed into t once, and each vertex's flow augments
-    from that residual; one below its cap is maximum, so its cut is read."""
+    capped at k; the least minimizer once below k, else None), for the
+    multiset F of c copies of a per pair (a, c) of `copies`.  The source
+    feeds each v with supply(v) > 0, each v with supply(v) < 0 drains into
+    a sink t, and each non-loop arc a of F has capacity c, so a cut into
+    {v, t} costs that minimum plus the total drain.  With supply = k b -
+    indeg_F the minimum is k b(X) - |F[X]|: loops count in both but never
+    cross a cut.  The drain is routed into t once, and each vertex's flow
+    augments from that residual; one below its cap is maximum, so its cut
+    is read."""
     n = graph.vertex_count
     source, sink = n, n + 1
     net: list[dict] = [{} for _ in range(n + 2)]
@@ -293,9 +295,9 @@ def _slack_cuts(graph: Digraph, arcs: Iterable[int], supply: Sequence[int], k: i
             _add_arc(net, v, sink, -c)
             drain -= c
     tails, heads = graph.tails, graph.heads
-    for a in arcs:
-        if tails[a] != heads[a]:
-            _add_arc(net, tails[a], heads[a], 1)
+    for a, count in copies:
+        if count and tails[a] != heads[a]:
+            _add_arc(net, tails[a], heads[a], count)
     drained, res = _augment(net, source, {sink}, drain)
     for v in range(n):
         pushed, res_v = _augment(res, source, {v, sink}, k + drain - drained)
@@ -309,7 +311,7 @@ def sparsity_independent(graph: Digraph, capacities: CapacityVector, arcs: Itera
     capacities.check_domain(graph)
     subset = _check_subset(graph, arcs)
     supply = [b - d for b, d in zip(capacities, _in_counts(graph, subset))]
-    return all(flow >= 1 for flow, _ in _slack_cuts(graph, subset, supply, 1))
+    return all(flow >= 1 for flow, _ in _slack_cuts(graph, ((a, 1) for a in subset), supply, 1))
 
 
 def is_b_branching(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:

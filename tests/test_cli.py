@@ -102,6 +102,29 @@ def test_feasible_indegree(tmp_path, capsys):
     assert json.loads(out) == {"feasible": False, "violated": {"v": 1}}
 
 
+def test_feasible_indegree_oracle(tmp_path, capsys, monkeypatch):
+    # The brute-force oracle agrees on a feasible and an infeasible demand
+    # and leaves the output as it is; one that disagrees ends in exit 1.
+    calls = []
+    brute = cli.brute_exists_packing
+
+    def counted(instance):
+        calls.append(instance)
+        return brute(instance)
+
+    monkeypatch.setattr(cli, "brute_exists_packing", counted)
+    for name, arcs, expected in (("yes.json", [[0, 1], [1, 0]], 0), ("no.json", [[1, 0]], 2)):
+        path = write(tmp_path, {"n": 2, "arcs": arcs, "b": [1, 1], "b_prime": [0, 1]}, name)
+        plain = invoke(["feasible-indegree", "--input", path], capsys)
+        assert plain[0] == expected
+        assert invoke(["feasible-indegree", "--input", path, "--oracle"], capsys) == plain
+    assert len(calls) == 2
+
+    monkeypatch.setattr(cli, "brute_exists_packing", lambda instance: not brute(instance))
+    code, out, err = invoke(["feasible-indegree", "--input", path, "--oracle", "--quiet"], capsys)
+    assert (code, out, err) == (1, "", "error: oracle disagreement on feasibility\n")
+
+
 def test_pack_and_witness(tmp_path, capsys):
     doc = {
         "n": 2,
@@ -249,6 +272,17 @@ def test_mr_max_weight(tmp_path, capsys):
     assert payload["oracle"]["agrees"] is True
 
 
+def test_uniform_spec_matches_the_null_spec(tmp_path, capsys):
+    doc = {"n": 3, "arcs": [[0, 1], [2, 1], [0, 1], [1, 2], [0, 2]], "b": [1, 2, 1]}
+    doc["w"] = [4, 9, "7/2", 5, 6]
+    runs = []
+    for name, spec in (("null.json", None), ("uniform.json", {"kind": "uniform"})):
+        path = write(tmp_path, dict(doc, matroids=[spec] * 3), name)
+        runs.append(invoke(["mr-max-weight", "--input", path, "--oracle"], capsys))
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["oracle"]["agrees"] is True
+    assert runs[1] == runs[0]
+
+
 def test_mr_max_weight_rank_mismatch(tmp_path, capsys):
     doc = {
         "n": 2,
@@ -363,7 +397,6 @@ def test_certificate_strings_are_parsed_in_bulk(monkeypatch):
         calls.append(text)
         return parse_rational(text)
 
-    monkeypatch.setattr(cli, "parse_rational", counted)
     monkeypatch.setattr(greedy, "parse_rational", counted)
     values = ["0"] * 1000 + ["3/6", "-4/2", "7"]
     parsed = cli._rationals(values, "$.certificate.q")

@@ -178,6 +178,22 @@ def test_decompose_rejects_outside_polytope():
     assert "X" in info.value.witness or "v" in info.value.witness
 
 
+def test_decompose_decides_membership_before_copying(monkeypatch):
+    # x = [k, k] on the unit 2-cycle puts 2k arcs inside X = {0, 1}, where
+    # k parts hold at most k (b(X) - 1) = k.  The check reads x as arc
+    # capacities, so it answers without building the 2k copies.
+    import bbranching.covering as covering
+
+    def refuse(graph, multiplicity):
+        raise AssertionError(f"built {sum(multiplicity)} copies")
+
+    monkeypatch.setattr(covering, "_multiplicity_graph", refuse)
+    k = 10**6
+    with pytest.raises(DecompositionError) as info:
+        integer_decompose(Digraph.from_pairs(2, [(0, 1), (1, 0)]), CapacityVector([1, 1]), k, [k, k])
+    assert info.value.witness == {"X": [0, 1]}
+
+
 def test_decompose_repairs_duplicate_copies():
     # The multigraph cover can put both copies of one arc into the same part;
     # this pinned instance exercises the repair pass end to end.

@@ -96,6 +96,13 @@ def _decomposition(k: int, multiplicity):
     return run
 
 
+def _scan_copies(graph, b, k, copies):
+    """The cover-condition scan of the multigraph carrying `copies[a]`
+    copies of each arc a."""
+    pairs = [graph.endpoints(a) for a in graph.arc_ids for _ in range(copies[a])]
+    return reference_cover_conditions(Digraph.from_pairs(graph.vertex_count, pairs), b, k)
+
+
 def test_flow_matches_the_scan_on_seeded_instances(monkeypatch):
     rng = random.Random(0xF10)
     counts = {"pack parts": 0, "pack witness": 0, "cover parts": 0, "cover witness": 0}
@@ -122,8 +129,9 @@ def test_flow_matches_the_scan_on_seeded_instances(monkeypatch):
         cover = [sorted(p.arcs) for p in cover_by_b_branchings(graph, b, k)] if got else None
         parts = decompose(graph, b)
         with monkeypatch.context() as scan:
-            # The module-level names cover and decomposition call.
-            scan.setattr(covering, "check_cover_conditions", reference_cover_conditions)
+            # The module-level names cover and decomposition call: both
+            # check through `_cover_conditions`, decompose with copies.
+            scan.setattr(covering, "_cover_conditions", _scan_copies)
             scan.setattr(covering, "find_disjoint_b_branchings", reference_disjoint_b_branchings)
             assert got == reference_cover_conditions(graph, b, k), trial
             if got:

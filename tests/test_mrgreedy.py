@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,52 @@ def test_inconsistent_oracle_raises_in_replacement_rule():
     with pytest.raises(OracleInconsistencyError, match="vertex 0 is saturated yet accepts"):
         mr_max_weight_b_branching(g, b, [5, 5, 1], MatroidAssignment(oracles))
     assert bbranching.OracleInconsistencyError is mrgreedy.OracleInconsistencyError
+
+
+class _ForgetsArcTwo(MatroidOracle):
+    """Rank 1, but arc 2 alone is independent only the first time it is
+    asked about: preprocessing keeps it, and later it is a matroid loop."""
+
+    asked = 0
+
+    def is_independent(self, subset):
+        members = self._as_members(subset)
+        if members == {2}:
+            self.asked += 1
+            return self.asked == 1
+        return len(members) <= 1
+
+
+def test_inconsistent_oracle_turns_an_arc_into_a_loop():
+    # The same tight 2-cycle: arc 2 -> 0 enters vertex 0 after arc 1 -> 0
+    # was selected there, and its circuit holds nothing but itself.
+    g = Digraph.from_pairs(3, [(0, 1), (1, 0), (2, 0)])
+    b = CapacityVector([1, 1, 1])
+    oracles = {
+        0: _ForgetsArcTwo(g.in_arc_ids(0), 1),
+        1: uniform_oracle(g.in_arc_ids(1), 1),
+        2: uniform_oracle(g.in_arc_ids(2), 1),
+    }
+    with pytest.raises(OracleInconsistencyError, match="arc 2 became a matroid loop"):
+        mr_max_weight_b_branching(g, b, [5, 5, 1], MatroidAssignment(oracles))
+
+
+def test_inconsistent_oracles_raise_under_dash_O():
+    # The engine raises instead of asserting, so `python -O`, which strips
+    # assert statements, keeps these checks: both cases above, run there.
+    tests = Path(__file__).parent
+    path = [str(Path(bbranching.__file__).parents[1]), str(tests), os.environ.get("PYTHONPATH", "")]
+    script = (
+        "import sys, test_mrgreedy as t\n"
+        "if __debug__: sys.exit('assert statements still run')\n"
+        "t.test_inconsistent_oracle_raises_in_replacement_rule()\n"
+        "t.test_inconsistent_oracle_turns_an_arc_into_a_loop()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tests,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")

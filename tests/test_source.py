@@ -214,3 +214,17 @@ def test_rational_grammar_is_spelled_once():
         and inner.value.id == "_RATIONAL"
     ]
     assert built_from == ["_RATIONAL_RUN"], built_from
+
+
+def test_only_greedy_reads_rational_strings():
+    # `greedy.parse_rationals` is the one reader of exact values; any other
+    # module goes through it rather than parsing string by string.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "greedy.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if "parse_rational"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+    assert SOURCES and not found, f"parse_rational named outside greedy.py: {found}"

@@ -14,7 +14,17 @@ from bbranching import CapacityVector, Digraph, DualCertificate, max_weight_b_br
 from helpers import random_capacities, random_digraph, reference_verify
 
 DELTAS = (1, -1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 7))
-MUTATIONS = ("p_vertex", "p_set", "new_set", "q", "objective", "arc")
+MUTATIONS = (
+    "p_vertex", "p_set", "new_set", "q", "objective", "arc", "unknown_arc", "vertex_domain", "q_domain"
+)
+
+# The one verdict each of these mutations of an optimal pair can reach.
+ONLY_REASON = {
+    "objective": "objective-mismatch",
+    "unknown_arc": "unknown-arc-ids",
+    "vertex_domain": "vertex-potential-domain",
+    "q_domain": "arc-potential-domain",
+}
 
 
 def assert_same_verdict(graph, caps, weights, arcs, certificate):
@@ -29,6 +39,18 @@ def mutate(rng, graph, arcs, certificate, kind):
     delta = rng.choice(DELTAS)
     if kind == "arc" and graph.arc_count:
         return arcs ^ {rng.choice(graph.arc_ids)}, certificate
+    if kind == "unknown_arc":
+        return arcs | {graph.arc_count + rng.randrange(3)}, certificate
+    if kind == "vertex_domain":
+        p_vertex = dict(certificate.p_vertex)
+        if rng.random() < 0.5:
+            del p_vertex[rng.choice(graph.vertices)]
+        else:
+            p_vertex[rng.choice((-1, graph.vertex_count))] = abs(delta)
+        return arcs, replace(certificate, p_vertex=p_vertex)
+    if kind == "q_domain":
+        outside = rng.choice((-1, graph.arc_count, graph.arc_count + 5))
+        return arcs, replace(certificate, q={**certificate.q, outside: abs(delta)})
     if kind == "p_vertex":
         v = rng.choice(graph.vertices)
         p_vertex = dict(certificate.p_vertex)
@@ -81,16 +103,19 @@ def test_tampered_certificates_match_reference():
             for w, cert in ((weights, tampered), (integral_as_int(weights), cli_shaped(tampered))):
                 check = assert_same_verdict(graph, caps, w, arcs, cert)
                 assert check.reason != "duality-gap"
-                if kind == "objective":
-                    assert check.reason == "objective-mismatch"
+                if kind in ONLY_REASON:
+                    assert check.reason == ONLY_REASON[kind], kind
                 reasons.add((check.reason or "ok").split(":")[0])
     # The mutations reach every dual-side check, not only the first one.
     assert {
         "ok",
+        "unknown-arc-ids",
         "primal-indegree-violated",
+        "vertex-potential-domain",
         "vertex-potential-negative",
         "set-potential-negative",
         "arc-potential-negative",
+        "arc-potential-domain",
         "dual-constraint-violated",
         "selected-arc-slack",
         "q-support-outside-solution",
