@@ -142,6 +142,11 @@ class WeightVector:
     denominator: int = 1
 
     def __post_init__(self):
+        if set(map(type, self.numerators)) | {type(self.denominator)} != {int}:
+            bad = next(v for v in (*self.numerators, self.denominator) if type(v) is not int)
+            if isinstance(bad, bool):
+                raise WeightError("booleans are not rationals")
+            raise WeightError(f"expected an integer numerator or denominator, got {bad!r}")
         if self.denominator <= 0:
             raise WeightError("denominator must be positive")
 
@@ -149,12 +154,16 @@ class WeightVector:
     def from_values(cls, values: Iterable[RationalLike]) -> "WeightVector":
         """The exact weight vector of ints, Fractions and rational strings.
 
-        A list of ints is taken as it is; any other list is read by
-        `parse_rationals`, whose WeightError names the first bad value.
+        A list of ints is taken as it is, checked by the constructor alone;
+        any other list is read by `parse_rationals`, whose WeightError names
+        the first bad value.
         """
         values = list(values)
-        if set(map(type, values)) <= {int}:
-            return cls(tuple(values), 1)
+        if not values or type(values[0]) is int:
+            try:
+                return cls(tuple(values), 1)
+            except WeightError:
+                pass  # a later value is not an int
         nums, dens = parse_rationals(values)
         # One lcm over the (unreduced) denominators, then one gcd to reduce:
         # the result is the same as reducing every value first.
@@ -246,11 +255,10 @@ def max_weight_indegree_set(
     """
     capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
-    wnum = dict(enumerate(wv.numerators))
     return frozenset(
         a
         for entering, cap in zip(graph.entering, capacities)
-        for a in _select_at(entering, cap, wnum, None)
+        for a in _select_at(entering, cap, wv.numerators, None)
     )
 
 
@@ -265,10 +273,15 @@ def max_weight_b_branching(
     under taking subsets, so they never help); zero-weight arcs stay in the
     working graph but are never selected.  Each arc enters a heap once and
     only ever moves into a heap that has received at least twice as many
-    arcs, so selection and merging take O(|A| log^2 |A|) over a run; each
-    phase's search for tight components walks only the selected arcs
-    behind its new vertices, at most O(|V| + |A|).  The engine records each
-    contracted set's potential, so the dual replay costs O(C^2/w) word
+    arcs, so selection and merging take O(|A| log^2 |A|) over a run.  A
+    contracted vertex holds a group of original vertices, and a contraction
+    relabels the smaller member groups into the largest, O(|V| log |V|)
+    relabels over a run, so finding an arc's current tail is two list
+    reads; the heap of the vertex that holds every vertex is cleared
+    rather than popped, as no arc can enter it.  Each phase's search for
+    tight components walks only the selected arcs behind its new vertices,
+    at most O(|V| + |A|).  The engine records each contracted set's
+    potential, so the dual replay costs O(C^2/w) word
     operations for the path bits of C contractions, one AND of C-bit
     integers per arc, the total set size to expand the sets, O(C log C) to
     order them, and one selection per vertex, a sort of its entering arcs'

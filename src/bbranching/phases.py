@@ -13,9 +13,15 @@ branching algorithm.  A contraction changes only the arcs entering the new
 vertex, so every other vertex keeps its selection and the new vertex alone
 is reselected; a tight component of a later phase must pass through a new
 vertex, so only the selected arcs behind the new vertices are searched.
-Contracted vertices are union-find classes whose entering arcs sit in heaps
-merged smaller into larger, with each member's exchange adjustment applied
-as one offset.  No graph is rebuilt.
+A contracted vertex holds a group of original vertices: each original vertex
+carries its group's label and each group names the vertex that holds it, so
+an arc's current tail is two list reads.  A contraction relabels the smaller
+member groups into the largest, O(|V| log |V|) relabels over a run.  The
+arcs entering a contracted vertex sit in heaps merged smaller into larger,
+with each member's exchange adjustment applied as one offset; arcs whose
+tail the vertex has absorbed are skipped when they surface, and the heap of
+a vertex that holds every vertex is cleared, as no arc can enter it.  No
+graph is rebuilt.
 """
 
 from __future__ import annotations
@@ -60,12 +66,18 @@ class ContractionStep(NamedTuple):
 # follows the capacity rule, i.e. a rank-caps[v] uniform matroid.
 
 
-def _select_at(arcs: Iterable[int], cap: int, wnum: Mapping[int, int], oracle) -> list[int]:
+def _select_at(
+    arcs: Iterable[int], cap: int, weights: Sequence[Optional[int]], oracle
+) -> list[int]:
     """The matroid greedy over the positive arcs entering one vertex:
-    heaviest first, ties to the smaller id, each kept while independent."""
-    cand = [a for a in arcs if wnum.get(a, 0) > 0]
+    heaviest first, ties to the smaller id, each kept while independent.
+
+    `weights` is indexed by arc id, None for an arc outside the working
+    graph; `arcs` come in ascending ids, so a stable sort breaks the ties.
+    """
+    cand = [a for a in arcs if weights[a] is not None and weights[a] > 0]
     if oracle is not None or len(cand) > cap:
-        cand.sort(key=lambda a: (-wnum[a], a))
+        cand.sort(key=weights.__getitem__, reverse=True)
     if oracle is None:
         return cand[:cap]
     picked: list[int] = []
@@ -87,16 +99,16 @@ def _run_phases(
     phase, the last one empty.  `caps` and `wnum` are only read.
     """
     tails, heads, entering = graph.tails, graph.heads, graph.entering
+    n = graph.vertex_count
+    weight = list(map(wnum.get, range(graph.arc_count)))  # None off the working graph
     link: dict[int, int] = {}  # contracted vertex -> the vertex it became part of
-    root: dict[int, int] = {}  # the same links, path-compressed by find()
-
-    def find(v: int) -> int:
-        top = v
-        while top in root:
-            top = root[top]
-        while v != top:
-            root[v], v = top, root[v]
-        return top
+    # Each original vertex's group, each group's original vertices and the
+    # vertex holding it, and each vertex's group while it is current (vertex
+    # ids are consecutive, so a new vertex appends its group).
+    group = list(range(n))
+    inside = [[v] for v in range(n)]
+    holder = list(range(n))
+    group_at = list(range(n))
 
     selected_at: dict[int, list[int]] = {}  # current vertex -> its selected arcs
     weight_of: dict[int, int] = {}  # selected arc -> working weight when selected
@@ -127,8 +139,21 @@ def _run_phases(
                 alpha = min(selected_at[y], key=lambda a: (weight_of[a], a))
                 replacement[y] = alpha
                 shift[y] = anchor - weight_of[alpha]
+        # The largest member group becomes the new vertex's group, and the
+        # vertices of every other one are relabelled into it, so a vertex is
+        # relabelled only into a group at least twice the size of its own.
+        groups = [group_at[y] for y in members]
+        gz = max(groups, key=lambda g: len(inside[g]))
+        for g in groups:
+            if g != gz:
+                for v in inside[g]:
+                    group[v] = gz
+                inside[gz] += inside[g]
+                inside[g] = []
+        holder[gz] = z
+        group_at.append(gz)
         for y in members:
-            root[y] = link[y] = z
+            link[y] = z
 
         # The member heap that has received the most arcs becomes the new
         # vertex's heap in place and every other entering arc moves into
@@ -151,9 +176,9 @@ def _run_phases(
             elif oracles.get(y) is None:
                 move = shift[y] - off
                 added.extend(
-                    (-wnum[a] - move, a)
+                    (-weight[a] - move, a)
                     for a in entering[y]
-                    if a in wnum and find(tails[a]) != z
+                    if weight[a] is not None and group[tails[a]] != gz
                 )
             else:
                 # A matroid member: each arc has its own fundamental circuit,
@@ -161,7 +186,7 @@ def _run_phases(
                 oracle, chosen = oracles[y], selected_at[y]
                 circuit_rule: dict[int, int] = {}
                 for a in entering[y]:
-                    if a not in wnum or find(tails[a]) == z:
+                    if weight[a] is None or group[tails[a]] == gz:
                         continue
                     circuit = fundamental_circuit(oracle, chosen, a)
                     if circuit is None:
@@ -174,7 +199,7 @@ def _run_phases(
                             f"arc {a} became a matroid loop after preprocessing"
                         )
                     alpha = circuit_rule[a] = min(pool, key=lambda f: (weight_of[f], f))
-                    added.append((off - (wnum[a] - weight_of[alpha] + anchor), a))
+                    added.append((off - (weight[a] - weight_of[alpha] + anchor), a))
                 replacement[y] = circuit_rule
         if len(added) > len(heap):
             heap += added
@@ -188,8 +213,11 @@ def _run_phases(
 
         # The capacity-one choice at the new vertex: its heaviest positive
         # entering arc.  That arc entered through a member that passed it
-        # over, so its working weight is at most the anchor.
-        while heap and find(tails[heap[0][1]]) == z:
+        # over, so its working weight is at most the anchor.  Once the new
+        # vertex holds every vertex, no arc enters it from outside.
+        if len(inside[gz]) == n:
+            heap.clear()
+        while heap and group[tails[heap[0][1]]] == gz:
             heappop(heap)
         selected_at[z] = []
         inflow = 0
@@ -224,7 +252,7 @@ def _run_phases(
                     blocked = u
                     break
                 for a in selected_at[u]:
-                    t = find(tails[a])
+                    t = holder[group[tails[a]]]
                     ahead.setdefault(t, []).append(u)
                     if t not in behind:
                         behind[t] = u
@@ -248,10 +276,10 @@ def _run_phases(
         return sorted(found, key=min)
 
     for v in graph.vertices:
-        chosen = _select_at(entering[v], caps[v], wnum, oracles.get(v))
+        chosen = _select_at(entering[v], caps[v], weight, oracles.get(v))
         selected_at[v] = chosen
         for a in chosen:
-            weight_of[a] = wnum[a]
+            weight_of[a] = weight[a]
     tight = saturated_components(graph, caps, frozenset(weight_of))
 
     history: list[tuple[ContractionStep, ...]] = []

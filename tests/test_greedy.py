@@ -36,6 +36,22 @@ def test_weight_vector_parsing():
         WeightVector.from_values(["nope"])
 
 
+@pytest.mark.parametrize(
+    "numerators, denominator, message",
+    [
+        ((1.5, 2.0), 1, "got 1.5"),
+        ((1, 2), 2.0, "got 2.0"),
+        ((True, 3), 1, "booleans are not rationals"),
+        ((1, 2), True, "booleans are not rationals"),
+    ],
+)
+def test_weight_vector_fields_are_ints(numerators, denominator, message):
+    # Floats would reach the engine and fail later in Fraction; a boolean
+    # would solve as 0 or 1.
+    with pytest.raises(WeightError, match=message):
+        WeightVector(numerators, denominator)
+
+
 TOO_LONG = "7" * 4301  # one digit past the default limit of int(str)
 
 
@@ -125,6 +141,24 @@ def test_max_weight_indegree_set_examples():
     b2 = CapacityVector([1, 1, 6])
     w2 = [0, 0, 5, 0, 0, 0, 0, 5]
     assert max_weight_indegree_set(g2, b2, w2) == {2}
+
+
+def test_entering_arcs_ascend_whatever_the_triple_order():
+    # The per-vertex selection sorts stably by weight alone, so its ties go
+    # to the smaller id only because `entering` lists ids in ascending order.
+    rng = random.Random(29)
+    n = 5
+    triples = [(a, rng.randrange(n), rng.randrange(n)) for a in range(60)]
+    rng.shuffle(triples)
+    graph = Digraph(range(n), triples)
+    weights = [rng.randint(1, 3) for _ in triples]
+    capacities = CapacityVector([rng.randint(1, 4) for _ in range(n)])
+    expected = set()
+    for v in graph.vertices:
+        mine = sorted(a for a, _, h in triples if h == v)
+        assert list(graph.entering[v]) == mine
+        expected.update(sorted(mine, key=lambda a: (-weights[a], a))[: capacities[v]])
+    assert max_weight_indegree_set(graph, capacities, weights) == expected
 
 
 def test_two_cycle_worked_example():

@@ -2,6 +2,7 @@
 reference in helpers.py, plus deterministic counts of the work a run does."""
 
 import random
+from heapq import heappop
 
 import pytest
 
@@ -15,7 +16,9 @@ from bbranching import (
     uniform_oracle,
     verify_certificate,
 )
+from bbranching import mrgreedy, phases
 from bbranching.greedy import WeightVector, _run_phases
+from bbranching.matroids import PartitionOracle
 
 from helpers import reference_max_weight
 
@@ -161,3 +164,70 @@ def test_contraction_chain_contracts_once_per_phase_in_linear_history():
     # this chain.  Recording every arc entering each contracted set instead,
     # as the reference run does, takes about 11 |A| ids here.
     assert history_ids(history) <= 2 * (n + m)
+
+
+def test_heap_pops_at_most_one_per_contraction(monkeypatch):
+    # A count, not a clock: arcs whose tail a contracted vertex absorbed are
+    # popped as they surface, but the last contraction holds every vertex,
+    # so its heap is cleared rather than popped entry by entry.
+    pops = []
+
+    def counted(heap):
+        pops.append(heap[0])
+        return heappop(heap)
+
+    monkeypatch.setattr(phases, "heappop", counted)
+    _, history = run(*contraction_chain(150, 600))
+    contractions = sum(map(len, history))
+    assert contractions == 149
+    assert len(pops) <= contractions
+
+
+def chain_oracles(rng: random.Random, graph, weights):
+    """A partition oracle at about half of the vertices, uniform elsewhere.
+
+    Each partition splits the noise arcs entering a vertex into up to three
+    random blocks and adds the spine and back arcs, which outweigh all
+    noise, to the first block, the only one with capacity: every vertex
+    selects what it selects under the capacity rule, so the chain still
+    contracts into one vertex, and the other blocks hold matroid loops."""
+    oracles = {}
+    for v in graph.vertices:
+        ground = list(graph.in_arc_ids(v))
+        noise = [a for a in ground if weights[a] <= 1000]
+        if noise and rng.random() < 0.5:
+            rng.shuffle(noise)
+            count = rng.randint(1, min(3, len(noise)))
+            cuts = sorted(rng.sample(range(1, len(noise)), count - 1))
+            blocks = [noise[i:j] for i, j in zip([0, *cuts], [*cuts, len(noise)])]
+            blocks[0] += [a for a in ground if weights[a] > 1000]
+            oracles[v] = partition_oracle(ground, blocks, [1] + [0] * (count - 1))
+        else:
+            oracles[v] = uniform_oracle(ground, 1)
+    return oracles
+
+
+def test_matroid_restricted_chain_contracts_into_one_vertex(monkeypatch):
+    # The last contraction holds every vertex, partition-oracle members
+    # among them, so its heap is cleared after their arcs were adjusted by
+    # their fundamental circuits.
+    graph, capacities, weights = contraction_chain(60, 300)
+    oracles = chain_oracles(random.Random(604), graph, weights)
+    histories = []
+
+    def recorded(*args):
+        final, history = _run_phases(*args)
+        histories.append(history)
+        return final, history
+
+    monkeypatch.setattr(mrgreedy, "_run_phases", recorded)
+    arcs = mr_max_weight_b_branching(graph, capacities, weights, MatroidAssignment(oracles))
+    assert arcs == reference_max_weight(graph, capacities, weights, oracles)
+
+    (history,) = histories
+    holds: dict[int, set] = {}
+    for step in (step for phase in history for step in phase):
+        holds[step.new_vertex] = set().union(*(holds.pop(y, {y}) for y in step.merged))
+    assert list(holds.values()) == [set(graph.vertices)]
+    partitioned = {v for v, oracle in oracles.items() if isinstance(oracle, PartitionOracle)}
+    assert len(partitioned) > len(graph.vertices) // 4
