@@ -271,17 +271,19 @@ def max_weight_b_branching(
 
     Negative-weight arcs are dropped up front (the feasible family is closed
     under taking subsets, so they never help); zero-weight arcs stay in the
-    working graph but are never selected.  Each arc enters a heap once and
-    only ever moves into a heap that has received at least twice as many
-    arcs, so selection and merging take O(|A| log^2 |A|) over a run.  A
-    contracted vertex holds a group of original vertices, and a contraction
-    relabels the smaller member groups into the largest, O(|V| log |V|)
-    relabels over a run, so finding an arc's current tail is two list
-    reads; the heap of the vertex that holds every vertex is cleared
-    rather than popped, as no arc can enter it.  Each phase's search for
-    tight components walks only the selected arcs behind its new vertices,
-    at most O(|V| + |A|).  The engine records each contracted set's
-    potential, so the dual replay costs O(C^2/w) word
+    working graph but are never selected.  Each vertex sorts its positive
+    entering arcs once into a run; a contracted vertex's heap holds one
+    cursor per run, and a cursor only ever moves into a heap that has
+    received at least twice as many, so selection and merging take one
+    sort per vertex, O(|V| log^2 |V|) for the cursor moves and O(log |V|)
+    per arc that surfaces, each at most once.  A contracted vertex holds a
+    group of original vertices, and a contraction relabels the smaller
+    member groups into the largest, O(|V| log |V|) relabels over a run, so
+    finding an arc's current tail is two list reads; the heap of the vertex
+    that holds every vertex is cleared, as no arc can enter it.  Each
+    phase's search for tight components walks only the selected arcs behind
+    its new vertices, at most O(|V| + |A|).  The engine records each
+    contracted set's potential, so the dual replay costs O(C^2/w) word
     operations for the path bits of C contractions, one AND of C-bit
     integers per arc, the total set size to expand the sets, O(C log C) to
     order them, and one selection per vertex, a sort of its entering arcs'
@@ -290,8 +292,8 @@ def max_weight_b_branching(
     """
     capacities.check_domain(graph)
     wv = WeightVector.coerce(weights, graph.arc_count)
-    wnum = {a: w for a, w in enumerate(wv.numerators) if w >= 0}
-    final, history = _run_phases(graph, capacities, wnum, {})
+    working = [w if w >= 0 else None for w in wv.numerators]
+    final, history = _run_phases(graph, capacities, working, {})
     certificate = dual_from_run(history, graph, capacities, wv)
     return BBranching.of(graph, capacities, final), certificate
 

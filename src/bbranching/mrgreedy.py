@@ -54,10 +54,11 @@ def mr_max_weight_b_branching(
     nums = wv.numerators
     oracles = dict(assignment.oracles)
 
-    wnum = {
-        a: nums[a] for a, _, h in graph.arcs() if nums[a] >= 0 and oracles[h].is_independent((a,))
-    }
-    final, _ = _run_phases(graph, capacities, wnum, oracles)
+    working = [
+        nums[a] if nums[a] >= 0 and oracles[h].is_independent((a,)) else None
+        for a, _, h in graph.arcs()
+    ]
+    final, _ = _run_phases(graph, capacities, working, oracles)
 
     for v, entering in enumerate(graph.entering):
         mine = [a for a in entering if a in final]

@@ -16,17 +16,25 @@ vertex, so only the selected arcs behind the new vertices are searched.
 A contracted vertex holds a group of original vertices: each original vertex
 carries its group's label and each group names the vertex that holds it, so
 an arc's current tail is two list reads.  A contraction relabels the smaller
-member groups into the largest, O(|V| log |V|) relabels over a run.  The
-arcs entering a contracted vertex sit in heaps merged smaller into larger,
-with each member's exchange adjustment applied as one offset; arcs whose
-tail the vertex has absorbed are skipped when they surface, and the heap of
-a vertex that holds every vertex is cleared, as no arc can enter it.  No
-graph is rebuilt.
+member groups into the largest, O(|V| log |V|) relabels over a run.
+
+The arcs entering a vertex form sorted runs, after the mergeable heaps of
+Tarjan and of Gabow, Galil, Spencer and Tarjan.  The first selection sorts
+each vertex's positive entering arcs once, heaviest first, and takes the
+run's first b(v) arcs.  A contracted vertex keeps a heap with one cursor
+per run, each holding its run's exchange adjustment; heaps merge smaller
+into larger, so a cursor moves O(log |V|) times and no arc is moved.  A
+matroid member's arcs each get their own fundamental-circuit adjustment and
+form one new run.  A cursor whose arc's tail the vertex has absorbed
+advances in place when it surfaces, so each arc surfaces at most once, and
+the heap of a vertex that holds every vertex is cleared, as no arc can
+enter it.  Every adjustment is at most zero, so a nonpositive arc is never
+selected and joins no run.  No graph is rebuilt.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .digraph import Digraph
@@ -66,22 +74,28 @@ class ContractionStep(NamedTuple):
 # follows the capacity rule, i.e. a rank-caps[v] uniform matroid.
 
 
-def _select_at(
-    arcs: Iterable[int], cap: int, weights: Sequence[Optional[int]], oracle
-) -> list[int]:
-    """The matroid greedy over the positive arcs entering one vertex:
-    heaviest first, ties to the smaller id, each kept while independent.
+def _ranked(arcs: Iterable[int], cap: int, weights: Sequence[Optional[int]]) -> list[int]:
+    """The positive arcs entering one vertex, heaviest first, ties to the
+    smaller id; left in id order when there are no more than `cap` of them.
 
     `weights` is indexed by arc id, None for an arc outside the working
     graph; `arcs` come in ascending ids, so a stable sort breaks the ties.
     """
-    cand = [a for a in arcs if weights[a] is not None and weights[a] > 0]
-    if oracle is not None or len(cand) > cap:
+    cand = [a for a in arcs if (w := weights[a]) is not None and w > 0]
+    if len(cand) > cap:
         cand.sort(key=weights.__getitem__, reverse=True)
+    return cand
+
+
+def _select_at(
+    arcs: Iterable[int], cap: int, weights: Sequence[Optional[int]], oracle
+) -> list[int]:
+    """The matroid greedy over the positive arcs entering one vertex:
+    heaviest first, ties to the smaller id, each kept while independent."""
     if oracle is None:
-        return cand[:cap]
+        return _ranked(arcs, cap, weights)[:cap]
     picked: list[int] = []
-    for a in cand:
+    for a in _ranked(arcs, 0, weights):
         if len(picked) >= cap:
             break
         if oracle.is_independent((*picked, a)):
@@ -90,17 +104,16 @@ def _select_at(
 
 
 def _run_phases(
-    graph: Digraph, caps: Sequence[int], wnum: Mapping[int, int], oracles: Mapping
+    graph: Digraph, caps: Sequence[int], weight: Sequence[Optional[int]], oracles: Mapping
 ) -> tuple[frozenset, list[tuple[ContractionStep, ...]]]:
     """Run selection/contraction phases, then expand back to original arcs.
 
-    The working graph is `graph` restricted to the arcs that `wnum` weighs.
-    Returns the solution and the contraction history: one tuple of steps per
-    phase, the last one empty.  `caps` and `wnum` are only read.
+    `weight` holds each arc's weight numerator, None for an arc outside the
+    working graph.  Returns the solution and the contraction history: one
+    tuple of steps per phase, the last one empty.  The arguments are only read.
     """
     tails, heads, entering = graph.tails, graph.heads, graph.entering
     n = graph.vertex_count
-    weight = list(map(wnum.get, range(graph.arc_count)))  # None off the working graph
     link: dict[int, int] = {}  # contracted vertex -> the vertex it became part of
     # Each original vertex's group, each group's original vertices and the
     # vertex holding it, and each vertex's group while it is current (vertex
@@ -112,10 +125,14 @@ def _run_phases(
 
     selected_at: dict[int, list[int]] = {}  # current vertex -> its selected arcs
     weight_of: dict[int, int] = {}  # selected arc -> working weight when selected
-    # Per contracted vertex: a heap of (offset - working weight, arc) over
-    # the arcs entering it, that offset, and how many arcs the heap has
-    # received in all.  Arcs whose tail the vertex has since absorbed are
-    # skipped when they surface.
+    # Capacity-rule vertex -> its positive entering arcs, heaviest first,
+    # while it is current and has more of them than its capacity.
+    runs: dict[int, list[int]] = {}
+    # Per contracted vertex: a heap of cursors, one per run of arcs entering
+    # it, that heap's offset, and how many cursors it has received in all.
+    # A cursor (offset - working weight, arc, d, position, run, weights)
+    # stands at `arc` = run[position]; each later arc b of its run has
+    # working weight offset - d + weights[b].
     pools: dict[int, tuple[list, int, int]] = {}
     dead: set[int] = set()  # reachable from an unsaturated vertex, so never tight
 
@@ -155,38 +172,42 @@ def _run_phases(
         for y in members:
             link[y] = z
 
-        # The member heap that has received the most arcs becomes the new
-        # vertex's heap in place and every other entering arc moves into
-        # it, so a moved arc lands in a heap that has received at least
-        # twice as many arcs as the one it left.
+        # The member heap that has received the most cursors becomes the new
+        # vertex's heap in place and every other cursor moves into it, so a
+        # moved cursor lands in a heap that has received at least twice as
+        # many as the one it left.  Each member's selected arcs are internal,
+        # so a capacity-rule run's cursor starts past them.
         base = max((y for y in members if y in pools), key=lambda y: pools[y][2], default=None)
         if base is None:
             heap, off, size = [], 0, 0
         else:
             heap, off, size = pools.pop(base)
             off += shift[base]
-        added: list[tuple[int, int]] = []
         for y in members:
             if y == base:
                 continue
             if y in pools:
-                entries, y_off, _ = pools.pop(y)
+                cursors, y_off, _ = pools.pop(y)
                 move = y_off + shift[y] - off
-                added.extend((key - move, a) for key, a in entries)
+                for key, a, d, pos, run, wts in cursors:
+                    heappush(heap, (key - move, a, d - move, pos, run, wts))
+                size += len(cursors)
             elif oracles.get(y) is None:
-                move = shift[y] - off
-                added.extend(
-                    (-weight[a] - move, a)
-                    for a in entering[y]
-                    if weight[a] is not None and group[tails[a]] != gz
-                )
+                run = runs.pop(y, None)
+                if run is not None:
+                    pos = caps[y]
+                    a, d = run[pos], off - shift[y]
+                    heappush(heap, (d - weight[a], a, d, pos, run, weight))
+                    size += 1
             else:
                 # A matroid member: each arc has its own fundamental circuit,
-                # so each gets an explicit adjusted weight.
+                # so each gets its own working weight, and they form a run.
                 oracle, chosen = oracles[y], selected_at[y]
                 circuit_rule: dict[int, int] = {}
+                adjusted: dict[int, int] = {}
                 for a in entering[y]:
-                    if weight[a] is None or group[tails[a]] == gz:
+                    w = weight[a]
+                    if w is None or group[tails[a]] == gz:
                         continue
                     circuit = fundamental_circuit(oracle, chosen, a)
                     if circuit is None:
@@ -199,15 +220,15 @@ def _run_phases(
                             f"arc {a} became a matroid loop after preprocessing"
                         )
                     alpha = circuit_rule[a] = min(pool, key=lambda f: (weight_of[f], f))
-                    added.append((off - (weight[a] - weight_of[alpha] + anchor), a))
+                    if w > 0:
+                        adjusted[a] = w - weight_of[alpha] + anchor
                 replacement[y] = circuit_rule
-        if len(added) > len(heap):
-            heap += added
-            heapify(heap)
-        else:
-            for item in added:
-                heappush(heap, item)
-        pools[z] = (heap, off, size + len(added))
+                if adjusted:
+                    run = sorted(adjusted, key=adjusted.__getitem__, reverse=True)
+                    a = run[0]
+                    heappush(heap, (off - adjusted[a], a, off, 0, run, adjusted))
+                    size += 1
+        pools[z] = (heap, off, size)
         for y in members:
             del selected_at[y]
 
@@ -217,12 +238,20 @@ def _run_phases(
         # vertex holds every vertex, no arc enters it from outside.
         if len(inside[gz]) == n:
             heap.clear()
-        while heap and group[tails[heap[0][1]]] == gz:
-            heappop(heap)
+        while heap:
+            _, a, d, pos, run, wts = heap[0]
+            if group[tails[a]] != gz:
+                break
+            pos += 1
+            if pos < len(run):
+                a = run[pos]
+                heapreplace(heap, (d - wts[a], a, d, pos, run, wts))
+            else:
+                heappop(heap)
         selected_at[z] = []
         inflow = 0
         if heap and off - heap[0][0] > 0:
-            key, a = heap[0]
+            key, a = heap[0][:2]
             selected_at[z].append(a)
             inflow = weight_of[a] = off - key
         if inflow > anchor:
@@ -276,14 +305,21 @@ def _run_phases(
         return sorted(found, key=min)
 
     for v in graph.vertices:
-        chosen = _select_at(entering[v], caps[v], weight, oracles.get(v))
+        oracle = oracles.get(v)
+        if oracle is None:
+            run = _ranked(entering[v], caps[v], weight)
+            chosen = run[: caps[v]]
+            if len(run) > caps[v]:
+                runs[v] = run
+        else:
+            chosen = _select_at(entering[v], caps[v], weight, oracle)
         selected_at[v] = chosen
         for a in chosen:
             weight_of[a] = weight[a]
     tight = saturated_components(graph, caps, frozenset(weight_of))
 
     history: list[tuple[ContractionStep, ...]] = []
-    phase_limit = graph.vertex_count + len(wnum) + 1
+    phase_limit = n + len(weight) - weight.count(None) + 1
     next_vertex = graph.vertex_count
     while tight:
         steps = []

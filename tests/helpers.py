@@ -643,15 +643,12 @@ def _reference_dual(history, graph, capacities, wv) -> DualCertificate:
     )
 
 
-def reference_max_weight(graph, capacities, weights, oracles=None):
-    """Test-only oracle for the optimizers, running the textbook phase loop.
-
-    Without `oracles`: `(arcs, certificate)` as `max_weight_b_branching`
-    computes them.  With a vertex -> matroid oracle map: the arc set of
-    `mr_max_weight_b_branching`, arcs that are loops of their head's matroid
-    dropped up front as that solver does."""
-    wv = WeightVector.coerce(weights, graph.arc_count)
-    nums = wv.numerators
+def reference_run(graph, capacities, weights, oracles=None):
+    """`(arcs, history)` of the textbook phase loop, as `_reference_phases`
+    returns them, after the optimizers' preprocessing: negative arcs, and
+    with a vertex -> matroid oracle map the loops of each head's matroid,
+    are dropped up front."""
+    nums = WeightVector.coerce(weights, graph.arc_count).numerators
     kept = [
         (a, t, h)
         for a, t, h in graph.arcs()
@@ -659,9 +656,19 @@ def reference_max_weight(graph, capacities, weights, oracles=None):
     ]
     work = SparseGraph(graph.vertices, kept)
     wnum = {a: nums[a] for a, _, _ in kept}
-    final, history = _reference_phases(work, dict(enumerate(capacities)), wnum, oracles or {})
+    return _reference_phases(work, dict(enumerate(capacities)), wnum, oracles or {})
+
+
+def reference_max_weight(graph, capacities, weights, oracles=None):
+    """Test-only oracle for the optimizers, running the textbook phase loop.
+
+    Without `oracles`: `(arcs, certificate)` as `max_weight_b_branching`
+    computes them.  With a vertex -> matroid oracle map: the arc set of
+    `mr_max_weight_b_branching`."""
+    final, history = reference_run(graph, capacities, weights, oracles)
     if oracles is not None:
         return final
+    wv = WeightVector.coerce(weights, graph.arc_count)
     return final, _reference_dual(history, graph, capacities, wv)
 
 

@@ -49,8 +49,8 @@ def test_recorded_potentials_make_a_verified_reference_certificate(instance):
     assert check, check.reason
 
     wv = WeightVector.from_values(weights)
-    wnum = {a: w for a, w in enumerate(wv.numerators) if w >= 0}
-    _, history = _run_phases(graph, capacities, wnum, {})
+    working = [w if w >= 0 else None for w in wv.numerators]
+    _, history = _run_phases(graph, capacities, working, {})
     expansion: dict[int, frozenset] = {}
     recorded = []
     for step in (step for phase in history for step in phase):

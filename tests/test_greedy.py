@@ -281,7 +281,7 @@ def test_phase_count_bounded_and_monotone():
         g = random_digraph(rng, 6, 14)
         b = random_capacities(rng, g, 2)
         w = {a: rng.randint(1, 3) for a in g.arc_ids}
-        _, history = _run_phases(g, b, dict(w), {})
+        _, history = _run_phases(g, b, [w[a] for a in g.arc_ids], {})
         assert len(history) <= g.vertex_count + g.arc_count + 1
         assert all(history[:-1]) and history[-1] == ()
         for steps in history:
@@ -417,7 +417,7 @@ def test_dual_from_run_signature_uses_history():
     from bbranching.greedy import _run_phases
 
     work = Digraph(g.vertices, list(g.arcs()))
-    final, history = _run_phases(work, b, {0: 3, 1: 2}, {})
+    final, history = _run_phases(work, b, [3, 2], {})
     certificate = dual_from_run(history, g, b, [3, 2])
     assert verify_certificate(g, b, [3, 2], final, certificate)
 

@@ -2,7 +2,7 @@
 reference in helpers.py, plus deterministic counts of the work a run does."""
 
 import random
-from heapq import heappop
+from heapq import heappop, heappush, heapreplace
 
 import pytest
 
@@ -16,11 +16,12 @@ from bbranching import (
     uniform_oracle,
     verify_certificate,
 )
-from bbranching import mrgreedy, phases
+from bbranching import greedy, mrgreedy, phases
 from bbranching.greedy import WeightVector, _run_phases
 from bbranching.matroids import PartitionOracle
 
-from helpers import reference_max_weight
+import helpers
+from helpers import reference_max_weight, reference_run
 
 
 def random_instance(rng: random.Random):
@@ -113,8 +114,8 @@ def test_matroid_restricted_matches_reference():
 
 
 def run(graph, capacities, weights):
-    wnum = {a: w for a, w in enumerate(WeightVector.from_values(weights).numerators) if w >= 0}
-    return _run_phases(graph, capacities, wnum, {})
+    nums = WeightVector.from_values(weights).numerators
+    return _run_phases(graph, capacities, [w if w >= 0 else None for w in nums], {})
 
 
 def test_phase_and_contraction_counts_are_bounded():
@@ -167,20 +168,155 @@ def test_contraction_chain_contracts_once_per_phase_in_linear_history():
 
 
 def test_heap_pops_at_most_one_per_contraction(monkeypatch):
-    # A count, not a clock: arcs whose tail a contracted vertex absorbed are
-    # popped as they surface, but the last contraction holds every vertex,
-    # so its heap is cleared rather than popped entry by entry.
-    pops = []
+    # A count, not a clock: a cursor whose arc's tail a contracted vertex
+    # absorbed advances (heapreplace) or, at the end of its run, leaves
+    # (heappop) when it surfaces; each run's cursor starts past its vertex's
+    # selected arcs, and the last contraction holds every vertex, so its
+    # heap is cleared rather than emptied entry by entry.
+    stale = []
 
-    def counted(heap):
-        pops.append(heap[0])
-        return heappop(heap)
+    def counted(primitive):
+        def call(heap, *item):
+            stale.append(heap[0])
+            return primitive(heap, *item)
 
-    monkeypatch.setattr(phases, "heappop", counted)
+        return call
+
+    monkeypatch.setattr(phases, "heappop", counted(heappop))
+    monkeypatch.setattr(phases, "heapreplace", counted(heapreplace))
     _, history = run(*contraction_chain(150, 600))
     contractions = sum(map(len, history))
     assert contractions == 149
-    assert len(pops) <= contractions
+    assert len(stale) <= contractions
+
+
+def test_heaps_receive_at_most_one_entry_per_vertex(monkeypatch):
+    # A count, not a clock: a heap holds one cursor per run of entering
+    # arcs, and each vertex's positive entering arcs make one run, so the
+    # heaps receive at most |V| entries where one entry per arc would be
+    # about |A|.  Moving a cursor into a larger heap pushes it again, but
+    # on this chain the growing vertex's heap is always the larger one.
+    pushed = []
+
+    def counted(heap, item):
+        pushed.append(item)
+        return heappush(heap, item)
+
+    monkeypatch.setattr(phases, "heappush", counted)
+    graph, capacities, weights = contraction_chain(150, 600)
+    run(graph, capacities, weights)
+    assert graph.arc_count == 149 + 149 + 600
+    assert 0 < len(pushed) <= graph.vertex_count
+
+
+def recorded_histories(monkeypatch, module) -> list:
+    """Patch `module`'s engine so every history it returns is kept."""
+    histories = []
+
+    def recorded(*args):
+        final, history = _run_phases(*args)
+        histories.append(history)
+        return final, history
+
+    monkeypatch.setattr(module, "_run_phases", recorded)
+    return histories
+
+
+def recorded_inflows(monkeypatch) -> dict:
+    """Patch the reference loop's selection so the working weight of the
+    arc first selected into each vertex is kept.  A vertex's entering arcs
+    keep their weights until it is contracted, so for a contracted vertex
+    that is the weight of the one arc selected into it."""
+    inflow: dict[int, int] = {}
+    select = helpers._reference_select
+
+    def recorded(graph, caps, wnum, oracles):
+        chosen = select(graph, caps, wnum, oracles)
+        for a in chosen:
+            inflow.setdefault(graph.head(a), wnum[a])
+        return chosen
+
+    monkeypatch.setattr(helpers, "_reference_select", recorded)
+    return inflow
+
+
+def assert_history_matches_reference(history, reference, inflow):
+    """Each contraction merges the same vertices into the same new vertex,
+    with the same selected and cheapest internal arcs, the same potential
+    (the anchor's weight less the weight selected into the new vertex) and
+    the same replacement arc for every arc entering the set."""
+    assert [len(phase) for phase in history] == [len(phase) for phase in reference]
+    steps = [step for phase in history for step in phase]
+    records = [record for phase in reference for record in phase]
+    for step, (record, alpha, anchor_weight) in zip(steps, records):
+        assert step.merged == tuple(sorted(record.merged))
+        assert step.new_vertex == record.new_vertex
+        assert step.internal == record.internal
+        assert step.cheapest_internal == record.cheapest_internal
+        assert step.potential == anchor_weight - inflow.get(step.new_vertex, 0)
+        assert set(step.replacement) == set(step.merged)
+        for y, rule in step.replacement.items():
+            entering = [a for a, (_, head) in record.entering.items() if head == y]
+            if isinstance(rule, int):
+                assert all(alpha[a] == rule for a in entering)
+            else:
+                assert rule == {a: alpha[a] for a in entering}
+
+
+def test_ties_and_zero_weights_match_reference_run(monkeypatch):
+    # Weights in {-1, 0, 1, 2}: ties everywhere, zero arcs stay in the
+    # working graph but join no run, and every exchange adjustment is at
+    # most zero, so no arc that starts nonpositive is ever selected.
+    plain = recorded_histories(monkeypatch, greedy)
+    restricted = recorded_histories(monkeypatch, mrgreedy)
+    inflow = recorded_inflows(monkeypatch)
+    rng = random.Random(605)
+    for _ in range(300):
+        graph, capacities, _ = random_instance(rng)
+        weights = [rng.choice((-1, 0, 1, 2)) for _ in range(graph.arc_count)]
+
+        solution, certificate = max_weight_b_branching(graph, capacities, weights)
+        inflow.clear()
+        arcs, history = reference_run(graph, capacities, weights)
+        assert solution.arcs == arcs
+        assert_history_matches_reference(plain.pop(), history, inflow)
+        assert certificate == reference_max_weight(graph, capacities, weights)[1]
+        check = verify_certificate(graph, capacities, weights, solution.arcs, certificate)
+        assert check, check.reason
+
+        oracles = random_oracles(rng, graph, capacities)
+        solution = mr_max_weight_b_branching(
+            graph, capacities, weights, MatroidAssignment(oracles)
+        )
+        inflow.clear()
+        arcs, history = reference_run(graph, capacities, weights, oracles)
+        assert solution == arcs
+        assert_history_matches_reference(restricted.pop(), history, inflow)
+
+
+
+def test_run_joining_a_moved_offset_keeps_its_weights(monkeypatch):
+    # {A, B} contracts into Z1, whose selected arc M -> B outweighs the
+    # anchor A -> M when {Z1, M} contracts into Z2, so Z2's heap offset
+    # moves before M's run (X -> M, then Y -> M) joins it.  When {Z2, X}
+    # contracts into Z3, X -> M is internal, the run's cursor advances, and
+    # Y -> M must keep its weight 12: potentials 50 - 30, 20 - 15, 15 - 12.
+    A, B, M, X, Y = range(5)
+    pairs = [(A, B), (B, A), (M, B), (A, M), (X, M), (Y, M), (A, X)]
+    weights = [100, 50, 80, 20, 15, 12, 40]
+    graph, capacities = Digraph.from_pairs(5, pairs), CapacityVector([1] * 5)
+    oracles = {v: uniform_oracle(graph.in_arc_ids(v), 1) for v in graph.vertices}
+    plain = recorded_histories(monkeypatch, greedy)
+    restricted = recorded_histories(monkeypatch, mrgreedy)
+    inflow = recorded_inflows(monkeypatch)
+
+    assert_same_as_reference(graph, capacities, weights)
+    arcs = mr_max_weight_b_branching(graph, capacities, weights, MatroidAssignment(oracles))
+    expected, reference = reference_run(graph, capacities, weights, oracles)
+    assert arcs == expected
+    for history in (plain[0], restricted[0]):
+        assert [step.potential for phase in history for step in phase] == [20, 5, 3]
+        assert_history_matches_reference(history, reference, inflow)
 
 
 def chain_oracles(rng: random.Random, graph, weights):
@@ -213,14 +349,7 @@ def test_matroid_restricted_chain_contracts_into_one_vertex(monkeypatch):
     # their fundamental circuits.
     graph, capacities, weights = contraction_chain(60, 300)
     oracles = chain_oracles(random.Random(604), graph, weights)
-    histories = []
-
-    def recorded(*args):
-        final, history = _run_phases(*args)
-        histories.append(history)
-        return final, history
-
-    monkeypatch.setattr(mrgreedy, "_run_phases", recorded)
+    histories = recorded_histories(monkeypatch, mrgreedy)
     arcs = mr_max_weight_b_branching(graph, capacities, weights, MatroidAssignment(oracles))
     assert arcs == reference_max_weight(graph, capacities, weights, oracles)
 
