@@ -43,7 +43,6 @@ from .packing import (
     exists_b_branching_with_indegree,
     find_disjoint_b_branchings,
     g_value,
-    min_weight_disjoint_b_branchings,
 )
 from .covering import (
     DecompositionError,
@@ -52,7 +51,12 @@ from .covering import (
     integer_decompose,
 )
 from .mrgreedy import MatroidAssignment, OracleInconsistencyError, mr_max_weight_b_branching
-from .oracle import SizeGateError, brute_exists_packing, brute_max_weight
+from .oracle import (
+    SizeGateError,
+    brute_exists_packing,
+    brute_max_weight,
+    min_weight_disjoint_b_branchings,
+)
 
 __all__ = [
     "BBranching",

@@ -27,14 +27,18 @@ from .greedy import (
 )
 from .matroids import CapacityError, CapacityVector, DemandVector, partition_oracle, uniform_oracle
 from .mrgreedy import MatroidAssignment, mr_max_weight_b_branching
-from .oracle import brute_exists_packing, brute_max_weight, brute_max_weight_restricted
+from .oracle import (
+    brute_exists_packing,
+    brute_max_weight,
+    brute_max_weight_restricted,
+    min_weight_disjoint_b_branchings,
+)
 from .packing import (
     InfeasiblePackingError,
     PackingInstance,
     check_packing_conditions,
     exists_b_branching_with_indegree,
     find_disjoint_b_branchings,
-    min_weight_disjoint_b_branchings,
 )
 
 class InputError(ValueError):

@@ -3,9 +3,9 @@
 The cover reduces to a packing problem on an augmented graph: a fresh root
 supplies every vertex with exactly enough parallel arcs to make all parts
 tight at capacity everywhere, after which the packing parts restricted to
-the original arcs partition it.  The cover condition is a closure min cut:
-k units of flow must reach every vertex from a source feeding each v with
-k b(v) - indeg(v), the slack network that decides sparsity at k = 1.
+the original arcs partition it; its entry check is the cover condition's cut
+bound.  `check_cover_conditions` asks k units of flow to reach every vertex
+from a source feeding v with k b(v) - indeg(v), the sparsity network at k=1.
 An integer point x of k times the feasible polytope passes that check with
 x as arc capacities, then decomposes by covering the multigraph carrying
 x(a) copies of each arc a and exchanging copies until no part holds two.
@@ -35,6 +35,18 @@ class DecompositionError(ValueError):
         self.witness = witness or {}
 
 
+def _integer(value, name: str) -> int:
+    """`value` if it is an int and not a bool, else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _check_k(k) -> None:
+    if _integer(k, "k") < 1:
+        raise ValueError("k must be at least 1")
+
+
 def check_cover_conditions(graph: Digraph, capacities: CapacityVector, k: int) -> Feasibility:
     """Per-vertex degree bound plus the induced-arc bound over all vertex sets."""
     return _cover_conditions(graph, capacities, k, [1] * graph.arc_count)
@@ -46,15 +58,14 @@ def _cover_conditions(
     """`check_cover_conditions` of the multigraph carrying `copies[a]` copies
     of each arc a, decided on `graph` with arc capacities: the work does not
     grow with the copies."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     capacities.check_domain(graph)
     indegree = [sum(map(copies.__getitem__, entering)) for entering in graph.entering]
     supply = [k * cap - d for cap, d in zip(capacities, indegree)]
     for v, c in enumerate(supply):
         if c < 0:
             return Feasibility(False, vertex=v)
-    return _cut_witness(_slack_cuts(graph, zip(graph.arc_ids, copies), supply, k), k)
+    return _cut_witness(_slack_cuts(graph, zip(graph.arc_ids, copies), supply, k))
 
 
 def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -> list[frozenset]:
@@ -66,6 +77,8 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
     root = graph.vertex_count
     pairs = [(t, h) for _, t, h in graph.arcs()]
     for v, (entering, cap) in enumerate(zip(graph.entering, capacities)):
+        if len(entering) > packed * cap:  # packed = k, or no vertex can fail
+            raise InfeasiblePackingError(Feasibility(False, vertex=v), "cover conditions violated")
         pairs += [(root, v)] * (packed * cap - len(entering))
     augmented = Digraph.from_pairs(root + 1, pairs)
 
@@ -75,8 +88,8 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
     )
     try:
         result = find_disjoint_b_branchings(instance)
-    except InfeasiblePackingError:
-        raise AssertionError("the cover conditions must make the packing feasible") from None
+    except InfeasiblePackingError as error:
+        raise InfeasiblePackingError(error.feasibility, "cover conditions violated") from None
 
     original = frozenset(graph.arc_ids)
     parts = [part & original for part in result.branchings]
@@ -87,9 +100,8 @@ def _augmented_cover_parts(graph: Digraph, capacities: CapacityVector, k: int) -
 
 def cover_by_b_branchings(graph: Digraph, capacities: CapacityVector, k: int) -> list[BBranching]:
     """Partition the arc set into k feasible parts; conditions must hold."""
-    feasibility = check_cover_conditions(graph, capacities, k)
-    if not feasibility:
-        raise InfeasiblePackingError(feasibility, "cover conditions violated")
+    _check_k(k)
+    capacities.check_domain(graph)
     parts = _augmented_cover_parts(graph, capacities, k)
     # Up to k - 1 parts are empty: validate that one once and repeat it.
     empty = BBranching.of(graph, capacities, frozenset())
@@ -163,10 +175,9 @@ def integer_decompose(
 ) -> list[frozenset]:
     """Write an integer vector of k times the feasible polytope as a sum of
     k feasible 0/1 parts (returned as arc-id sets)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     capacities.check_domain(graph)
-    values = [int(c) for c in multiplicity]
+    values = [_integer(c, f"multiplicity at arc {a}") for a, c in enumerate(multiplicity)]
     if len(values) != graph.arc_count:
         raise ValueError("one multiplicity per arc required")
     for a, c in enumerate(values):
@@ -179,10 +190,11 @@ def integer_decompose(
     if not feasibility:
         raise DecompositionError("vector lies outside k times the polytope", feasibility.witness())
     expanded, origin = _multiplicity_graph(graph, values)
-
-    parts = _exchange_copies(
-        expanded, capacities, origin, _augmented_cover_parts(expanded, capacities, k)
-    )
+    try:
+        covered = _augmented_cover_parts(expanded, capacities, k)
+    except InfeasiblePackingError:
+        raise AssertionError("the cover conditions must make the packing feasible") from None
+    parts = _exchange_copies(expanded, capacities, origin, covered)
 
     total = Counter()
     for part in parts:

@@ -225,6 +225,14 @@ def _augment(net: list, source: int, sinks: set, limit: int) -> tuple[int, list]
     return flow, res
 
 
+def _vertex_flows(net: list, source: int, vertices: Iterable, limit: int, extra=()) -> Iterator:
+    """Lazily per vertex v: (value, residual copy, least cut or None when not
+    short) of up to `limit` units from `source` into v and the `extra` sinks."""
+    for v in vertices:
+        flow, res = _augment(net, source, {v, *extra}, limit)
+        yield flow, res, (_least_cut(res, source, (v, *extra)) if flow < limit else None)
+
+
 def _least_cut(
     res: list,
     source: int,

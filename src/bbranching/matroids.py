@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .digraph import Digraph, _add_arc, _augment, _check_subset, _component_labels, _least_cut
+from .digraph import Digraph, _add_arc, _augment, _check_subset, _component_labels, _vertex_flows
 
 
 class IndegreeDependenceError(ValueError):
@@ -274,16 +274,15 @@ def sparsity_violating_components(
 
 
 def _slack_cuts(graph: Digraph, copies: Iterable[tuple], supply: Sequence[int], k: int) -> Iterator:
-    """Lazily, per vertex v, (min over X holding v of supply(X) + rho_F(X),
-    capped at k; the least minimizer once below k, else None), for the
+    """`_vertex_flows` into {v, t} per vertex v, short (with the least
+    minimizer as cut) iff min_{X holding v} supply(X) + rho_F(X) < k, for the
     multiset F of c copies of a per pair (a, c) of `copies`.  The source
     feeds each v with supply(v) > 0, each v with supply(v) < 0 drains into
     a sink t, and each non-loop arc a of F has capacity c, so a cut into
     {v, t} costs that minimum plus the total drain.  With supply = k b -
     indeg_F the minimum is k b(X) - |F[X]|: loops count in both but never
-    cross a cut.  The drain is routed into t once, and each vertex's flow
-    augments from that residual; one below its cap is maximum, so its cut
-    is read."""
+    cross a cut.  The drain is routed into t once; each vertex's flow
+    augments from that residual, offset by the drain left unrouted."""
     n = graph.vertex_count
     source, sink = n, n + 1
     net: list[dict] = [{} for _ in range(n + 2)]
@@ -299,10 +298,7 @@ def _slack_cuts(graph: Digraph, copies: Iterable[tuple], supply: Sequence[int], 
         if count and tails[a] != heads[a]:
             _add_arc(net, tails[a], heads[a], count)
     drained, res = _augment(net, source, {sink}, drain)
-    for v in range(n):
-        pushed, res_v = _augment(res, source, {v, sink}, k + drain - drained)
-        flow = drained + pushed - drain
-        yield flow, (_least_cut(res_v, source, (v, sink)) if flow < k else None)
+    return _vertex_flows(res, source, range(n), k + drain - drained, (sink,))
 
 
 def sparsity_independent(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:
@@ -311,7 +307,7 @@ def sparsity_independent(graph: Digraph, capacities: CapacityVector, arcs: Itera
     capacities.check_domain(graph)
     subset = _check_subset(graph, arcs)
     supply = [b - d for b, d in zip(capacities, _in_counts(graph, subset))]
-    return all(flow >= 1 for flow, _ in _slack_cuts(graph, ((a, 1) for a in subset), supply, 1))
+    return all(cut is None for _, _, cut in _slack_cuts(graph, ((a, 1) for a in subset), supply, 1))
 
 
 def is_b_branching(graph: Digraph, capacities: CapacityVector, arcs: Iterable[int]) -> bool:

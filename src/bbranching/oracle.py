@@ -1,20 +1,30 @@
-"""Exhaustive scans behind the CLI's `--oracle` flag.
+"""Exhaustive scans behind the CLI's `--oracle` flag and `pack-min-weight`.
 
-`brute_max_weight`, `brute_max_weight_restricted` and `brute_exists_packing`
-trade speed for being obviously correct from the definitions; the size
-gates `MAX_VERTICES` and `MAX_ARCS` fail loudly with `SizeGateError`
-instead of degrading.  The other exhaustive references live with the tests.
+`brute_max_weight`, `brute_max_weight_restricted`, `brute_exists_packing`
+and `min_weight_disjoint_b_branchings` trade speed for being obviously
+correct from the definitions; the size gates `MAX_VERTICES` and `MAX_ARCS`
+fail loudly with `SizeGateError` instead of degrading.  The other
+exhaustive references live with the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from itertools import chain, combinations, product
+from typing import Iterable, Optional, Sequence, Union
 
 from .digraph import Digraph
 from .greedy import WeightVector
-from .matroids import CapacityVector, UniformOracle, sparsity_violating_components
+from .matroids import CapacityVector, UniformOracle, is_b_branching, sparsity_violating_components
+from .packing import (
+    InfeasiblePackingError,
+    PackingInstance,
+    PackingResult,
+    _cut_witness,
+    _packing_conditions,
+    check_packing_conditions,
+    find_disjoint_b_branchings,
+)
 
 
 class SizeGateError(RuntimeError):
@@ -153,3 +163,53 @@ def brute_exists_packing(instance) -> bool:
         return product(0, [])
 
     return assign(0, frozenset(graph.arc_ids))
+
+
+def min_weight_disjoint_b_branchings(
+    instance: PackingInstance,
+    weights: Union[WeightVector, Iterable],
+) -> PackingResult:
+    """Minimum-total-weight packing by exhaustive search, behind the CLI's
+    `pack-min-weight`; a feasible instance over `MAX_ARCS` arcs raises
+    `SizeGateError`.
+
+    Scans the candidate unions with the exact combined indegrees, one
+    choice of entering arcs per vertex, keeps the lightest one whose
+    restricted instance stays feasible, then partitions it with the
+    constructive procedure.  Deterministic: ties go to the earliest union
+    in lexicographic arc order.
+    """
+    graph = instance.graph
+    feasibility = check_packing_conditions(instance)
+    if not feasibility:
+        raise InfeasiblePackingError(feasibility)
+    _check_arcs(graph.arc_count)
+    nums = WeightVector.coerce(weights, graph.arc_count).numerators
+
+    demands = instance.demands
+    needed = [sum(d[v] for d in demands) for v in graph.vertices]
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    # The entry check passed, so every vertex has its needed entering arcs.
+    for picks in product(*_per_vertex_choices(graph, frozenset(graph.arc_ids), needed)):
+        union = tuple(sorted(chain.from_iterable(picks)))
+        key = (sum(nums[a] for a in union), union)
+        if best is None or key < best:
+            # Each vertex receives exactly its demands, so the degree
+            # condition holds and the flows decide.
+            flows = _packing_conditions(graph, instance.capacities, frozenset(union), demands)[2]
+            if _cut_witness(flows):
+                best = key
+    if best is None:
+        raise AssertionError("a feasible instance must admit at least one candidate union")
+
+    # Arc i of `sub` is union[i], and `union` ascends, so the construction's
+    # smallest-id rule picks the arcs it would pick in `graph`.
+    union = best[1]
+    tails, heads = graph.tails, graph.heads
+    sub = Digraph.from_pairs(graph.vertex_count, [(tails[a], heads[a]) for a in union])
+    result = find_disjoint_b_branchings(PackingInstance(sub, instance.capacities, demands))
+    parts = tuple(frozenset(union[i] for i in part) for part in result.branchings)
+    for part in parts:
+        if not is_b_branching(graph, instance.capacities, part):
+            raise AssertionError("packed part is not feasible in the original graph")
+    return PackingResult(parts)

@@ -10,18 +10,15 @@ commits one arc entering its demanded region, until every demand is met.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import AbstractSet, Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
-from .digraph import Digraph, _add_arc, _augment, _least_cut
-from .greedy import WeightVector
+from .digraph import Digraph, _add_arc, _least_cut, _vertex_flows
 from .matroids import (
     CapacityVector,
     DemandVector,
     indegree_profile,
     is_b_branching,
 )
-from .oracle import _check_arcs
 
 
 @dataclass(frozen=True)
@@ -97,12 +94,12 @@ def g_value(instance: PackingInstance, subset: Iterable[int]) -> int:
     return _demand_count(instance.capacities, instance.demands, members)
 
 
-def _cut_witness(cuts: list, k: int) -> Feasibility:
-    """Whether the flows into each vertex, `cuts`, reach k, else the least
+def _cut_witness(flows: Iterable[tuple]) -> Feasibility:
+    """Whether no flow into a vertex (`_vertex_flows`) is short, else the least
     short cut by (flow, size, sorted members): the least minimizer is the
     least cut into each of its members, as the cut function is submodular
     on sets sharing a vertex."""
-    short = [(flow, len(cut), sorted(cut)) for flow, cut in cuts if flow < k]
+    short = [(flow, len(cut), sorted(cut)) for flow, _, cut in flows if cut is not None]
     return Feasibility(False, subset=frozenset(min(short)[2])) if short else Feasibility(True)
 
 
@@ -134,35 +131,24 @@ def _packing_conditions(
     capacities: CapacityVector,
     alive: AbstractSet[int],
     demands: Sequence[Sequence[int]],
-    keep: bool = False,
-) -> tuple[Feasibility, Optional[list], Optional[list]]:
-    """Degree condition per vertex, then the cut condition: one flow of up to
-    k units into each vertex, whose least cut is read only when it falls
-    short.  Returns the verdict, the packing network and, with `keep`, per
-    vertex the residual of its flow; both are None when a degree condition
-    fails.  Without `keep` each residual is dropped once its flow is read,
-    so a check holds one residual at a time."""
+) -> tuple[Feasibility, Optional[list], Iterator]:
+    """Degree condition per vertex, then the packing network and, lazily, its
+    flows of up to k units into each vertex, whose `_cut_witness` decides the
+    cut condition; a failed degree condition has no network and no flows."""
     for v, entering in enumerate(graph.entering):
         if sum(1 for a in entering if a in alive) < sum(d[v] for d in demands):
-            return Feasibility(False, vertex=v), None, None
-    n, k = graph.vertex_count, len(demands)
+            return Feasibility(False, vertex=v), None, iter(())
+    n = graph.vertex_count
     net = _packing_network(graph, capacities, alive, demands)
-    short, residuals = [], []
-    for v in range(n):
-        flow, res = _augment(net, n, {v}, k)
-        if flow < k:
-            short.append((flow, _least_cut(res, n, (v,))))
-        if keep:
-            residuals.append(res)
-    return _cut_witness(short, k), net, residuals if keep else None
+    return Feasibility(True), net, _vertex_flows(net, n, range(n), len(demands))
 
 
 def check_packing_conditions(instance: PackingInstance) -> Feasibility:
     """Degree condition per vertex, cut condition via max flow."""
-    graph = instance.graph
-    return _packing_conditions(
-        graph, instance.capacities, frozenset(graph.arc_ids), instance.demands
-    )[0]
+    degree, _, flows = _packing_conditions(
+        instance.graph, instance.capacities, frozenset(instance.graph.arc_ids), instance.demands
+    )
+    return degree and _cut_witness(flows)
 
 
 def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
@@ -185,9 +171,13 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
     # Per vertex v, the residual of a flow of value k into v, or None once a
     # commit broke it.  k is the source's whole out-capacity, so a kept flow
     # stays maximum and its residual gives the least cut into v.
-    verdict, net, residuals = _packing_conditions(graph, capacities, alive, demands, keep=True)
+    verdict, net, flows = _packing_conditions(graph, capacities, alive, demands)
+    flows = list(flows)
+    verdict = verdict and _cut_witness(flows)
     if not verdict:
         raise InfeasiblePackingError(verdict)
+    residuals = [res for _, res, _ in flows]
+    del flows  # so that a residual a commit breaks is freed
     parts: list[set[int]] = [set() for _ in demands]
     pointer = 0
     n, k = graph.vertex_count, len(demands)
@@ -211,11 +201,11 @@ def find_disjoint_b_branchings(instance: PackingInstance) -> PackingResult:
 
         # A commit lowers one alive indegree and demand together, so degrees
         # stay fine, and the flows it broke must still reach k.
-        for v in graph.vertices:
-            if residuals[v] is None:
-                flow, residuals[v] = _augment(net, n, {v}, k)
-                if flow < k:
-                    raise AssertionError("committing an arc must preserve the packing conditions")
+        broken = [v for v in graph.vertices if residuals[v] is None]
+        for v, (flow, res, _) in zip(broken, _vertex_flows(net, n, broken, k)):
+            if flow < k:
+                raise AssertionError("committing an arc must preserve the packing conditions")
+            residuals[v] = res
         least = [_least_cut(res, n, (v,)) for v, res in enumerate(residuals)]
         # The least tight set meeting zero | partial and not inside zero (V is
         # one) is the least tight set holding one of its members, or else one
@@ -285,56 +275,3 @@ def exists_b_branching_with_indegree(
     except InfeasiblePackingError as error:
         return error.feasibility, None
     return Feasibility(True), result.branchings[0]
-
-
-def min_weight_disjoint_b_branchings(
-    instance: PackingInstance,
-    weights: Union[WeightVector, Iterable],
-) -> PackingResult:
-    """Minimum-total-weight packing by exhaustive search, behind the CLI's
-    `pack-min-weight`; a feasible instance over `oracle.MAX_ARCS` arcs raises
-    `SizeGateError`.
-
-    Scans candidate unions with the exact combined indegrees, keeps the
-    lightest one whose restricted instance stays feasible, then partitions it
-    with the constructive procedure.  Deterministic: ties go to the earliest
-    candidate in lexicographic arc order.
-    """
-    graph = instance.graph
-    feasibility = check_packing_conditions(instance)
-    if not feasibility:
-        raise InfeasiblePackingError(feasibility)
-    _check_arcs(graph.arc_count)
-    wv = WeightVector.coerce(weights, graph.arc_count)
-
-    demands = instance.demands
-    needed = {v: sum(d[v] for d in demands) for v in graph.vertices}
-    union_size = sum(needed.values())
-
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    tails, heads = graph.tails, graph.heads
-    for combo in combinations(graph.arc_ids, union_size):
-        profile: dict[int, int] = {}
-        for a in combo:
-            h = heads[a]
-            profile[h] = profile.get(h, 0) + 1
-        if any(profile.get(v, 0) != needed[v] for v in graph.vertices):
-            continue
-        if not _packing_conditions(graph, instance.capacities, frozenset(combo), demands)[0]:
-            continue
-        weight = sum(wv.numerators[a] for a in combo)
-        if best is None or weight < best[0]:
-            best = (weight, combo)
-    if best is None:
-        raise AssertionError("a feasible instance must admit at least one candidate union")
-
-    # Arc i of `sub` is union[i], and `union` ascends, so the construction's
-    # smallest-id rule picks the arcs it would pick in `graph`.
-    union = best[1]
-    sub = Digraph.from_pairs(graph.vertex_count, [(tails[a], heads[a]) for a in union])
-    result = find_disjoint_b_branchings(PackingInstance(sub, instance.capacities, instance.demands))
-    parts = tuple(frozenset(union[i] for i in part) for part in result.branchings)
-    for part in parts:
-        if not is_b_branching(graph, instance.capacities, part):
-            raise AssertionError("packed part is not feasible in the original graph")
-    return PackingResult(parts)

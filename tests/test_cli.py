@@ -224,7 +224,7 @@ def test_pack_and_cover_run_the_builders_flows_only(tmp_path, capsys, monkeypatc
     cover_b, pairs, _ = planted_parts(rng, 8, 3)
     cover = {"n": 8, "arcs": [list(pair) for pair in pairs], "b": list(cover_b), "k": 3}
 
-    flows = count_flows(monkeypatch, digraph, packing, matroids)
+    flows = count_flows(monkeypatch, digraph, matroids)
     find_disjoint_b_branchings(instance)
     pack_flows = len(flows)
     flows.clear()

@@ -11,14 +11,19 @@ from bbranching import (
     InfeasiblePackingError,
     check_cover_conditions,
     cover_by_b_branchings,
+    covering,
+    digraph,
     find_disjoint_b_branchings,
     integer_decompose,
     is_b_branching,
+    matroids,
     max_weight_b_branching,
 )
 
 from helpers import (
+    count_flows,
     enumerate_b_branchings,
+    planted_parts,
     random_capacities,
     random_digraph,
     reference_saturated_components,
@@ -45,12 +50,52 @@ def test_cover_degree_witness():
 def test_cover_rejects_k_below_one():
     g = Digraph.from_pairs(1, [])
     b = CapacityVector([1])
-    with pytest.raises(ValueError):
-        check_cover_conditions(g, b, 0)
-    with pytest.raises(ValueError):
-        integer_decompose(g, b, 0, [])
+    for k in (0, -1):
+        for call in (
+            lambda: check_cover_conditions(g, b, k),
+            lambda: cover_by_b_branchings(g, b, k),
+            lambda: integer_decompose(g, b, k, []),
+        ):
+            with pytest.raises(ValueError, match="^k must be at least 1$"):
+                call()
     assert check_cover_conditions(g, b, 2)
     assert integer_decompose(g, b, 2, []) == [frozenset(), frozenset()]
+
+
+TRIANGLE = Digraph.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+UNIT = CapacityVector([1, 1, 1])
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", True])
+def test_cover_check_rejects_a_k_that_is_not_an_int(k):
+    # A float k would run the flows on float capacities and answer ok at 1.5.
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+        check_cover_conditions(TRIANGLE, UNIT, k)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", True])
+def test_cover_rejects_a_k_that_is_not_an_int(k):
+    # A float k would otherwise end in a TypeError from the padding.
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+        cover_by_b_branchings(TRIANGLE, UNIT, k)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", True])
+def test_decompose_rejects_a_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+        integer_decompose(TRIANGLE, UNIT, k, [1, 1, 0])
+
+
+def test_decompose_rejects_fractional_multiplicities():
+    # int() would truncate these to [1, 1, 0] and decompose another point.
+    with pytest.raises(ValueError, match=r"^multiplicity at arc 0 must be an integer, got 1\.9$"):
+        integer_decompose(TRIANGLE, UNIT, 2, [1.9, 1.2, 0.5])
+
+
+@pytest.mark.parametrize("bad", ["1", True, None])
+def test_decompose_rejects_multiplicities_that_are_not_ints(bad):
+    with pytest.raises(ValueError, match=f"^multiplicity at arc 1 must be an integer, got {bad!r}$"):
+        integer_decompose(TRIANGLE, UNIT, 2, [1, bad, 0])
 
 
 def test_cover_single_part_when_already_feasible():
@@ -72,6 +117,39 @@ def test_cover_requires_conditions():
     g = Digraph.from_pairs(2, [(0, 1), (1, 0)])
     with pytest.raises(InfeasiblePackingError):
         cover_by_b_branchings(g, CapacityVector([1, 1]), 1)
+
+
+def test_cover_decides_its_conditions_once(monkeypatch):
+    # Past the degree bound the cover's condition is the augmented packing's
+    # entry check, so no flow goes into the slack network's sink n + 1 = 9
+    # (`check_cover_conditions` runs n + 1 of them).  The flows are the
+    # packing's alone: the whole construction on a feasible document, one
+    # entry flow per augmented vertex on an infeasible one, which fills every
+    # indegree up to its bound 3 b(v), so |A| = 3 b(V) > 3 (b(V) - 1).
+    b, pairs, indegrees = planted_parts(random.Random(0xC0), 8, 3)
+    spare = [3 * b[v] - sum(d[v] for d in indegrees) for v in range(8)]
+    filled = [((v + 1) % 8, v) for v in range(8) for _ in range(spare[v])]
+    flows = count_flows(monkeypatch, digraph, matroids)
+    for extra in ([], filled):
+        graph = Digraph.from_pairs(8, pairs + extra)
+        verdict = check_cover_conditions(graph, b, 3)
+        assert bool(verdict) != bool(extra) and verdict.vertex is None
+        flows.clear()
+        if verdict:
+            cover_by_b_branchings(graph, b, 3)
+        else:
+            with pytest.raises(InfeasiblePackingError) as raised:
+                cover_by_b_branchings(graph, b, 3)
+            assert raised.value.feasibility == verdict
+            assert str(raised.value) == f"cover conditions violated: {verdict}"
+        cover_flows = list(flows)
+        assert cover_flows and all(len(sinks) == 1 and 9 not in sinks for sinks in cover_flows)
+        flows.clear()
+        try:
+            covering._augmented_cover_parts(graph, b, 3)
+        except InfeasiblePackingError:
+            assert cover_flows == [frozenset({v}) for v in range(9)]
+        assert cover_flows == flows
 
 
 def test_cover_partitions_random_instances():

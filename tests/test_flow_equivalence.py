@@ -16,6 +16,7 @@ from bbranching import (
     DecompositionError,
     DemandVector,
     Digraph,
+    InfeasiblePackingError,
     PackingInstance,
     check_cover_conditions,
     check_packing_conditions,
@@ -129,16 +130,21 @@ def test_flow_matches_the_scan_on_seeded_instances(monkeypatch):
         cover = [sorted(p.arcs) for p in cover_by_b_branchings(graph, b, k)] if got else None
         parts = decompose(graph, b)
         with monkeypatch.context() as scan:
-            # The module-level names cover and decomposition call: both
-            # check through `_cover_conditions`, decompose with copies.
+            # The module-level names cover and decomposition call: the cover
+            # decides its cut condition by the augmented packing's entry
+            # check, and decompose checks membership through
+            # `_cover_conditions` with copies.
             scan.setattr(covering, "_cover_conditions", _scan_copies)
             scan.setattr(covering, "find_disjoint_b_branchings", reference_disjoint_b_branchings)
             assert got == reference_cover_conditions(graph, b, k), trial
             if got:
                 assert cover == [sorted(p.arcs) for p in cover_by_b_branchings(graph, b, k)], trial
                 counts["cover parts"] += 1
-            elif got.subset is not None:
-                counts["cover witness"] += 1
+            else:
+                with pytest.raises(InfeasiblePackingError) as raised:
+                    cover_by_b_branchings(graph, b, k)
+                assert raised.value.feasibility == got, trial
+                counts["cover witness"] += got.subset is not None
             assert parts == decompose(graph, b), trial
 
     # Every path ran often enough to mean something.

@@ -13,6 +13,7 @@ from bbranching import (
     WeightVector,
     brute_exists_packing,
     check_packing_conditions,
+    digraph,
     exists_b_branching_with_indegree,
     find_disjoint_b_branchings,
     g_value,
@@ -96,7 +97,7 @@ def test_construction_raises_the_entry_check_witness(monkeypatch):
     rng = random.Random(0xE7)
     instances = [random_packing_instance(rng, 6, 10, 3, 3, loop_rate=0.1) for _ in range(300)]
     verdicts = [check_packing_conditions(instance) for instance in instances]
-    flows = count_flows(monkeypatch, packing)
+    flows = count_flows(monkeypatch, digraph)
     kinds = set()
     for instance, verdict in zip(instances, verdicts):
         n = instance.graph.vertex_count
@@ -118,7 +119,7 @@ def test_check_holds_one_residual_at_a_time():
     # A check-only call drops each vertex's residual once its flow is read,
     # so its peak is a few networks, where keeping n residuals for the
     # construction takes tens of MB at n = 320.  The verdict is the one the
-    # construction's entry step reaches with every residual kept.
+    # construction's entry step reaches with every flow kept.
     for n, limit in ((160, 1 << 20), (320, 2 << 20)):
         instance = planted_packing_instance(random.Random(n), n, 2)
         tracemalloc.start()
@@ -128,15 +129,15 @@ def test_check_holds_one_residual_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < limit, (n, peak)
-        kept = packing._packing_conditions(
+        degree, _, flows = packing._packing_conditions(
             instance.graph,
             instance.capacities,
             frozenset(instance.graph.arc_ids),
             instance.demands,
-            keep=True,
         )
-        assert verdict == kept[0] and verdict
-        assert len(kept[2]) == n
+        kept = list(flows)
+        assert verdict == (degree and packing._cut_witness(kept)) and verdict
+        assert len(kept) == n
 
 
 def test_exists_returns_the_check_verdict_from_one_construction(monkeypatch):
@@ -146,7 +147,7 @@ def test_exists_returns_the_check_verdict_from_one_construction(monkeypatch):
     # check_packing_conditions reports.
     rng = random.Random(0xE8)
     instances = [random_packing_instance(rng, 6, 10, 3, 1, loop_rate=0.1) for _ in range(300)]
-    flows = count_flows(monkeypatch, packing)
+    flows = count_flows(monkeypatch, digraph)
     expected = []
     for instance in instances:
         verdict = check_packing_conditions(instance)
@@ -174,7 +175,7 @@ def test_construction_keeps_its_flows_across_commits(monkeypatch):
     # The first step runs one fresh flow per vertex; later steps rerun only
     # the flows a commit broke, and pair cuts are read off kept residuals,
     # so no flow ever goes into two vertices.
-    sinks_seen = count_flows(monkeypatch, packing)
+    sinks_seen = count_flows(monkeypatch, digraph)
     n = 30
     instance = planted_packing_instance(random.Random(0x30), n, 2)
     steps = sum(map(sum, instance.demands))
@@ -348,6 +349,39 @@ def test_min_weight_matches_reference():
         assert got == reference(instance, wv)
         checked += 1
     assert checked > 15
+
+
+def test_min_weight_keeps_the_first_lightest_union():
+    # The search visits one choice of entering arcs per vertex, but ties
+    # still go to the lexicographically first union of least weight, the
+    # one a scan of every same-size arc set in `combinations` order keeps.
+    # Here the choices at vertices 1 and 2 give (0, 3), a 2-cycle, then
+    # (3, 5) before (0, 4), which is first in that order.
+    g = Digraph.from_pairs(3, [(1, 2), (1, 0), (2, 0), (2, 1), (0, 1), (0, 2)])
+    pinned = PackingInstance(g, CapacityVector([1, 1, 1]), (DemandVector([0, 1, 1]),))
+    assert min_weight_disjoint_b_branchings(pinned, [1] * 6).branchings == (frozenset({0, 4}),)
+    rng = random.Random(0x3E)
+    tied = 0
+    for _ in range(300):
+        instance = random_packing_instance(rng, max_vertices=5, max_arcs=9, loop_rate=0.1)
+        if not check_packing_conditions(instance):
+            continue
+        graph, b, demands = instance.graph, instance.capacities, instance.demands
+        needed = {v: sum(d[v] for d in demands) for v in graph.vertices}
+        w = [rng.randint(0, 1) for _ in graph.arc_ids]
+        lightest = []
+        for union in combinations(graph.arc_ids, sum(needed.values())):
+            sub = Digraph.from_pairs(graph.vertex_count, [graph.endpoints(a) for a in union])
+            profile = indegree_profile(graph, union)
+            if all(profile[v] == needed[v] for v in graph.vertices) and check_packing_conditions(
+                PackingInstance(sub, b, demands)
+            ):
+                lightest.append((sum(w[a] for a in union), union))
+        weight, first = min(lightest)
+        tied += sum(1 for other, _ in lightest if other == weight) > 1
+        parts = min_weight_disjoint_b_branchings(instance, w).branchings
+        assert sorted(frozenset().union(*parts)) == list(first)
+    assert tied > 20
 
 
 def test_self_loop_can_be_packed():

@@ -128,22 +128,40 @@ def test_library_imports_only_the_standard_library():
 
 def test_max_flow_is_written_once():
     # The flow helpers (`_augment` pushes, `_least_cut` reads the residual,
-    # `_add_arc` builds) are defined in digraph.py only, and only the slack
-    # network (matroids.py) and the packing network (packing.py) use them.
-    # `_max_flow`, which composed the first two, may not return.
-    flow = {"_add_arc", "_augment", "_least_cut"}
+    # `_add_arc` builds, `_vertex_flows` runs the per-vertex flows of every
+    # cut check) are defined in digraph.py only, and only the slack network
+    # (matroids.py) and the packing network (packing.py) use them.  Every
+    # per-vertex flow goes through `_vertex_flows`: packing.py and
+    # covering.py never name `_augment`, and matroids.py calls it once, to
+    # route the slack network's drain into its sink.  `_max_flow`, which
+    # composed `_augment` and `_least_cut`, may not return.
+    flow = {"_add_arc", "_augment", "_least_cut", "_vertex_flows"}
     builders = {"digraph.py", "matroids.py", "packing.py"}
-    defined, named, gone = [], [], []
+    defined, named, gone, augments = [], [], [], []
     for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name in flow:
                 defined.append(path.name)
             elif _names(node) & flow and path.name not in builders:
                 named.append(f"{path.name}:{node.lineno}")
+            elif "_augment" in _names(node) and path.name == "packing.py":
+                named.append(f"{path.name}:{node.lineno}: _augment")
             if "_max_flow" in _names(node):
                 gone.append(f"{path.name}:{node.lineno}")
+        augments += [
+            f"{path.name}:{function.name}({ast.unparse(node.args[2])})"
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and "_augment" in _names(node.func)
+        ]
     assert sorted(defined) == ["digraph.py"] * len(flow), defined
     assert not named, f"max flow used outside the two networks: {named}"
+    assert sorted(augments) == [
+        "digraph.py:_vertex_flows({v, *extra})",
+        "matroids.py:_slack_cuts({sink})",
+    ], augments
     assert SOURCES and not gone, f"_max_flow is back: {gone}"
 
 
@@ -163,27 +181,17 @@ def test_packing_network_is_built_in_one_place():
 
 def test_only_the_oracle_enumerates_arc_or_vertex_sets():
     # Enumerating combinations, products or permutations is exponential, so
-    # it serves the oracle only.  `min_weight_disjoint_b_branchings` still
-    # tries every arc subset until a polynomial method replaces it (ROADMAP
-    # item 9).  The decomposition's peel, a search over arc subsets, may
-    # not return anywhere.
+    # it serves the oracle only, `min_weight_disjoint_b_branchings` included
+    # until a polynomial method replaces it (ROADMAP item 9).  The
+    # decomposition's peel, a search over arc subsets, may not return
+    # anywhere.
     scans, gone = {"combinations", "product", "permutations"}, "_peel_decomposition"
     found = []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        exempt = [tree] if path.name == "oracle.py" else []
-        if path.name == "packing.py":
-            exempt = [
-                top
-                for top in tree.body
-                if isinstance(top, ast.ImportFrom) and top.module == "itertools"
-                or isinstance(top, ast.FunctionDef) and top.name == "min_weight_disjoint_b_branchings"
-            ]
-        allowed = {id(node) for top in exempt for node in ast.walk(top)}
         found += [
             f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if _names(node) & scans and id(node) not in allowed or gone in _names(node)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            if _names(node) & scans and path.name != "oracle.py" or gone in _names(node)
         ]
     assert SOURCES and not found, f"exhaustive enumeration outside oracle.py: {found}"
 

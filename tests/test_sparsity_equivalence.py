@@ -5,7 +5,14 @@ slack-cut check for any arc set against the scan of all vertex sets."""
 
 import random
 
-from bbranching import CapacityVector, Digraph, matroids, sparsity_independent, strong_components
+from bbranching import (
+    CapacityVector,
+    Digraph,
+    digraph,
+    matroids,
+    sparsity_independent,
+    strong_components,
+)
 from bbranching.matroids import saturated_components
 
 from helpers import (
@@ -114,7 +121,8 @@ def test_sparsity_independent_matches_the_components_at_scale():
 def test_slack_cuts_route_the_drain_once(monkeypatch):
     # Three arcs enter vertex 1 under b = 1, so 2 units drain into the sink
     # t = n + 1.  They are routed once; each vertex then augments from that
-    # residual, with only its own unit left to push.
+    # residual, with only its own unit left to push.  The drain is matroids'
+    # own flow, and the per-vertex flows run in digraph.
     calls = []
     augment = matroids._augment
 
@@ -124,6 +132,7 @@ def test_slack_cuts_route_the_drain_once(monkeypatch):
         return flow, res
 
     monkeypatch.setattr(matroids, "_augment", counted)
+    monkeypatch.setattr(digraph, "_augment", counted)
     graph = Digraph.from_pairs(4, [(0, 1), (2, 1), (3, 1)])
     capacities = CapacityVector([1, 1, 1, 1])
     assert sparsity_independent(graph, capacities, graph.arc_ids) is True
